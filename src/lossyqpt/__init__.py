@@ -42,6 +42,7 @@ from .mle import (
     fit_trace_preserving,
     fit_unconstrained,
     likelihood,
+    likelihood_gradient,
     normalize_max_p,
 )
 from .qmath import EigDecomposition, herm_eig, psd_sqrt, state_fidelity

@@ -161,13 +161,16 @@ def cmd_simulate(args) -> int:
 
 
 def _fit_options(args, config, seed) -> FitOptions:
-    return FitOptions(
-        restarts=int(_resolve(args, config, "restarts", 4)),
-        maxfev=int(_resolve(args, config, "maxfev", 50_000)),
-        xtol=float(_resolve(args, config, "xtol", 1e-9)),
-        seed=seed,
-        weight_mode=_resolve(args, config, "weight-mode", "floor"),
-    )
+    try:
+        return FitOptions(
+            restarts=int(_resolve(args, config, "restarts", 4)),
+            maxfev=int(_resolve(args, config, "maxfev", 50_000)),
+            xtol=float(_resolve(args, config, "xtol", 1e-9)),
+            seed=seed,
+            weight_mode=_resolve(args, config, "weight-mode", "floor"),
+        )
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad fit option: {exc}") from None
 
 
 def _report_dict(report, reference=None):
@@ -186,6 +189,7 @@ def _report_dict(report, reference=None):
         "seed": report.seed,
         "min_chi_eigenvalue": report.min_chi_eigenvalue,
         "psd_ok": report.psd_ok,
+        "converged": report.converged,
         "p_operator": serialize.probability_operator_to_dict(p),
     }
     if reference is not None:

@@ -1,34 +1,41 @@
 """Maximum-likelihood reconstruction of the process matrix.
 
-The fitted matrix is kept positive semidefinite by construction through a
-lower-triangular parameterization: a real vector t of length d^4 maps to
-a lower-triangular factor T(t) with real diagonal, and the candidate
-process matrix is chi(t) = T^dag T.  The figure of merit compares model
-counts to measured counts,
+The figure of merit compares model counts to measured counts,
 
-    f(t) = sum_ab (n_ab - N <psi_b|E_t(|phi_a><phi_a|)|psi_b>)^2 / w_ab
+    f(chi) = sum_ab (n_ab - N <psi_b|E_chi(|phi_a><phi_a|)|psi_b>)^2 / w_ab
 
 with w_ab = max(n_ab, 1); the floor keeps dark analyzer settings (exact
 zeros at strong polarization-dependent loss) from blowing up the weight.
 Setting weight_mode="drop" in FitOptions omits zero-count terms instead.
+Model counts are linear in chi and the weights depend on the data only,
+so f is a convex quadratic in chi.  Writing Hermitian chi in d^4 real
+orthonormal coordinates x (chi = sum_k x_k F_k, Re Tr[F_j F_k] =
+delta_jk) turns every fit into
+
+    minimize 1/2 x^T H x - b^T x + c   over the positive semidefinite cone,
+
+a convex problem with a single optimum, which optimize.minimize_adaptive
+solves by projecting onto the cone with eigenvalue clipping (orthonormal
+coordinates make that projection the Euclidean one).  No restarts are
+needed, and the gradient matrix at the result certifies optimality.
 
 Three reconstruction flavors:
 
   * fit_unconstrained: the correct treatment for lossy maps.  The result
     is rescaled so that the largest eigenvalue of the success operator P
     is one, since a global loss factor is not measurable.
-  * fit_trace_preserving: adds the constraint P = I by quadratic penalty
-    with a growing weight.  For genuinely lossy, state-dependent devices
-    this is a wrong model, and its fidelity to the true map degrades as
-    the polarization dependence grows.
+  * fit_trace_preserving: adds the affine constraint P = I, which every
+    solver step satisfies exactly and the returned positive semidefinite
+    iterate meets to the solver's tolerance.  For genuinely lossy,
+    state-dependent devices this is a wrong model, and its fidelity to
+    the true map degrades as the polarization dependence grows.
   * fit_post_selected: normalizes every tomographed output state to unit
     trace before linear inversion, mimicking post-selected measurements.
     Also a wrong model; the result can even be indefinite, so it is
     flagged rather than silently repaired.
 
-Minimization is Nelder-Mead (16 parameters for a qubit) restarted from a
-linear-inversion seed plus random points; everything is deterministic
-given the seed in FitOptions.
+Both chi-space fits start from the positive semidefinite projection of
+the linear inversion and are deterministic given the count table.
 """
 
 from __future__ import annotations
@@ -42,38 +49,45 @@ from .channels import ChiMatrix, OperatorBasis, pauli_basis, probability_operato
 from .errors import DegenerateFitError, RepresentationError
 from .optimize import minimize_adaptive
 from .states import kets_for
-from .tomography import CountTable, reconstruct_linear
-
-_RESTART_SCALE = 0.25  # stddev of random seed components
+from .tomography import CountTable, _hermitian_basis, reconstruct_linear
 
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Optimizer and weighting knobs; defaults reproduce the standard fit."""
+    """Solver and weighting knobs; defaults reproduce the standard fit.
+
+    maxfev caps the solver's iterations; xtol bounds its primal residual
+    (chi units) and its dual residual (relative to the data's gradient
+    scale).  The convex fit has a single start, so restarts and seed are
+    only recorded in the report.
+    """
 
     restarts: int = 4
     maxfev: int = 50_000
     xtol: float = 1e-9
     seed: int = 0
     weight_mode: str = "floor"  # "floor" -> w = max(n, 1); "drop" -> skip n = 0
-    penalty_mu0: float = 100.0
-    penalty_growth: float = 10.0
-    penalty_stages: int = 12
     constraint_tol: float = 1e-6
-    # warm continuation stages track a slowly moving optimum and need far
-    # fewer evaluations than the cold first stage
-    continuation_maxfev: int = 10_000
 
     def __post_init__(self):
         if self.restarts < 1:
-            raise ValueError("need at least one start")
+            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
+        if self.maxfev < 1:
+            raise ValueError(f"maxfev must be at least 1, got {self.maxfev}")
+        if not (np.isfinite(self.xtol) and self.xtol > 0.0):
+            raise ValueError(f"xtol must be finite and positive, got {self.xtol}")
         if self.weight_mode not in ("floor", "drop"):
             raise ValueError(f"unknown weight_mode {self.weight_mode!r}")
 
 
 @dataclass(frozen=True)
 class FitReport:
-    """Outcome of one reconstruction."""
+    """Outcome of one reconstruction.
+
+    converged is False when a chi-space fit used up its iteration budget
+    before meeting its residual tolerance; fits without a solver always
+    report True.
+    """
 
     chi: ChiMatrix
     objective: float
@@ -86,66 +100,16 @@ class FitReport:
     psd_ok: bool
     constraint_residual: float | None = None
     method: str = "mle"
+    converged: bool = True
 
 
-def n_params(dim: int) -> int:
-    return dim ** 4
-
-
-_TRIL_CACHE: dict = {}
-
-
-def _lower_indices(n: int):
-    if n not in _TRIL_CACHE:
-        _TRIL_CACHE[n] = np.tril_indices(n, k=-1)
-    return _TRIL_CACHE[n]
-
-
-def factor_from_params(t: np.ndarray, dim: int) -> np.ndarray:
-    """Lower-triangular T with real diagonal from the parameter vector."""
-    n = dim * dim
-    t = np.asarray(t, dtype=float)
-    if t.size != n * n:
-        raise RepresentationError(f"need {n * n} parameters for d={dim}, got {t.size}")
-    mat = np.zeros((n, n), dtype=complex)
-    mat[np.diag_indices(n)] = t[:n]
-    rows, cols = _lower_indices(n)
-    mat[rows, cols] = t[n::2] + 1j * t[n + 1 :: 2]
-    return mat
-
-
-def params_from_factor(mat: np.ndarray) -> np.ndarray:
-    n = mat.shape[0]
-    rows, cols = _lower_indices(n)
-    t = np.empty(n * n)
-    t[:n] = np.diag(mat).real
-    t[n::2] = mat[rows, cols].real
-    t[n + 1 :: 2] = mat[rows, cols].imag
-    return t
-
-
-def chi_tilde(t: np.ndarray, dim: int) -> np.ndarray:
-    """The always-PSD candidate matrix T(t)^dag T(t)."""
-    f = factor_from_params(t, dim)
-    return f.conj().T @ f
-
-
-def params_from_chi(mat: np.ndarray) -> np.ndarray:
-    """Parameters whose chi_tilde reproduces a PSD matrix (seeding).
-
-    Negative eigenvalues are clamped to zero first, so a slightly
-    indefinite linear-inversion result is a valid seed; a tiny diagonal
-    jitter keeps the factorization defined for rank-deficient matrices.
-    """
-    eig = qmath.herm_eig(mat)
-    w = np.clip(eig.eigenvalues, 0.0, None)
-    repaired = (eig.eigenvectors * w) @ eig.eigenvectors.conj().T
-    n = mat.shape[0]
-    jitter = 1e-12 * max(1.0, float(w[-1]))
-    flipped = np.flip(np.flip(repaired + jitter * np.eye(n), 0), 1)
-    lower = np.linalg.cholesky(flipped)
-    factor = np.flip(np.flip(lower.conj().T, 0), 1)
-    return params_from_factor(factor)
+def hermitian_frame(n: int) -> np.ndarray:
+    """Rows: vec of n*n Hermitian n x n matrices F_k, orthonormal under
+    Re Tr[F_j F_k].  Coordinates x_k = Re Tr[F_k M] of a Hermitian M give
+    vec(M) = frame.T @ x and ||M||_F = ||x||."""
+    herm = _hermitian_basis(n)
+    herm = herm / np.linalg.norm(herm, axis=(1, 2))[:, None, None]
+    return herm.reshape(n * n, n * n)
 
 
 def _resolve_protocol(counts: CountTable, inputs, analyzers):
@@ -175,61 +139,82 @@ def measurement_design(
     return outer.reshape(na * nb, n * n)
 
 
-def _objective_pieces(counts: CountTable, basis, inputs, analyzers, weight_mode):
-    if basis is None:
-        if counts.dim != 2:
-            raise RepresentationError("a basis must be given for d != 2")
-        basis = pauli_basis()
-    in_kets, an_kets = _resolve_protocol(counts, inputs, analyzers)
-    # model_ab = N sum_mn c_m chi_mn c_n^* = N ||T(t) conj(c_ab)||^2 for
-    # chi = T^dag T, which is a real quadratic form in t.  Precomputing one
-    # small PSD form per table cell keeps complex arithmetic out of the
-    # optimizer's hot loop entirely.
-    amps = np.einsum("bi,mij,aj->abm", an_kets.conj(), basis.ops, in_kets)
-    conj_amps = np.ascontiguousarray(amps.conj().reshape(-1, basis.size).T)
-    n_flat = counts.counts.reshape(-1)
-    if weight_mode == "drop":
-        keep = n_flat > 0
-        conj_amps = conj_amps[:, keep]
-        n_flat = n_flat[keep]
-        inv_w = 1.0 / n_flat
-    else:
-        inv_w = 1.0 / np.maximum(n_flat, 1.0)
-    exposure = counts.exposure
-    n = basis.size
-    npar = n * n
-    ncells = conj_amps.shape[1]
-    lo_rows, lo_cols = _lower_indices(n)
-    # d(T c)/dt_p has a single nonzero component: row_of[p] picks it,
-    # col_of[p] picks the amplitude entry, phase_of[p] is 1 or i.
-    row_of = np.concatenate([np.arange(n), np.repeat(lo_rows, 2)])
-    col_of = np.concatenate([np.arange(n), np.repeat(lo_cols, 2)])
-    phase_of = np.concatenate([np.ones(n), np.tile([1.0, 1j], lo_rows.size)])
-    vals = phase_of[:, None] * conj_amps[col_of, :]  # (npar, ncells)
-    mask = (row_of[:, None] == row_of[None, :]).astype(float)
-    forms = np.einsum("pj,qj->jpq", vals.conj(), vals).real * mask
-    forms_flat = np.ascontiguousarray(forms.reshape(ncells * npar, npar))
+class _Misfit:
+    """The weighted misfit of one count table in frame coordinates."""
 
-    def objective(t):
-        u = forms_flat @ t
-        model = exposure * (u.reshape(ncells, npar) @ t)
-        r = n_flat - model
-        return float(np.dot(r * r, inv_w))
+    def __init__(self, counts: CountTable, basis, inputs, analyzers, weight_mode):
+        if basis is None:
+            if counts.dim != 2:
+                raise RepresentationError("a basis must be given for d != 2")
+            basis = pauli_basis()
+        in_kets, an_kets = _resolve_protocol(counts, inputs, analyzers)
+        self.basis = basis
+        self.frame = hermitian_frame(basis.size)
+        design = measurement_design(basis, in_kets, an_kets)
+        model = counts.exposure * (design @ self.frame.T).real
+        n_flat = counts.counts.reshape(-1)
+        if weight_mode == "drop":
+            keep = n_flat > 0
+            model, n_flat = model[keep], n_flat[keep]
+            self.inv_w = 1.0 / n_flat
+        else:
+            self.inv_w = 1.0 / np.maximum(n_flat, 1.0)
+        self.model, self.n = model, n_flat
+        self.hessian = 2.0 * (model.T * self.inv_w) @ model
 
-    return objective, basis
+    def __call__(self, x):
+        """(f, gradient of f) at coordinates x."""
+        r = self.n - self.model @ x
+        wr = self.inv_w * r
+        return float(r @ wr), -2.0 * (self.model.T @ wr)
+
+    def coords(self, mat: np.ndarray) -> np.ndarray:
+        return (self.frame.conj() @ np.asarray(mat).reshape(-1)).real
+
+    def matrix(self, x: np.ndarray) -> np.ndarray:
+        n = self.basis.size
+        return (self.frame.T @ x).reshape(n, n)
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        return self.coords(qmath.psd_projection(self.matrix(x)))
+
+
+def _chi_and_basis(chi, basis):
+    """(matrix, basis) of a ChiMatrix or of an array given in `basis`."""
+    if isinstance(chi, ChiMatrix):
+        return chi.mat, basis if basis is not None else chi.basis
+    return np.asarray(chi, dtype=complex), basis
 
 
 def likelihood(
-    t: np.ndarray,
+    chi,
     counts: CountTable,
     basis: OperatorBasis | None = None,
     inputs=None,
     analyzers=None,
     weight_mode: str = "floor",
 ) -> float:
-    """Weighted squared misfit between measured and model counts at t."""
-    objective, _ = _objective_pieces(counts, basis, inputs, analyzers, weight_mode)
-    return objective(t)
+    """Weighted squared misfit between measured and model counts at chi
+    (a ChiMatrix, or a d^2 x d^2 Hermitian array in `basis`)."""
+    mat, basis = _chi_and_basis(chi, basis)
+    misfit = _Misfit(counts, basis, inputs, analyzers, weight_mode)
+    return misfit(misfit.coords(mat))[0]
+
+
+def likelihood_gradient(
+    chi,
+    counts: CountTable,
+    basis: OperatorBasis | None = None,
+    inputs=None,
+    analyzers=None,
+    weight_mode: str = "floor",
+) -> np.ndarray:
+    """Gradient matrix G of the misfit at chi: the Hermitian matrix with
+    f(chi + D) = f(chi) + Re Tr[G D] + O(||D||^2).  At an unconstrained
+    optimum G is positive semidefinite and Tr[G chi] = 0."""
+    mat, basis = _chi_and_basis(chi, basis)
+    misfit = _Misfit(counts, basis, inputs, analyzers, weight_mode)
+    return misfit.matrix(misfit(misfit.coords(mat))[1])
 
 
 def _constraint_gram(basis: OperatorBasis) -> np.ndarray:
@@ -246,26 +231,31 @@ def constraint_residual(chi_mat: np.ndarray, basis: OperatorBasis) -> float:
     return float(np.linalg.norm(p - np.eye(basis.dim)))
 
 
-def _seed_pool(counts, basis, opts):
-    li = reconstruct_linear(counts, basis)
-    t0 = params_from_chi(li.chi.mat)
-    rng = np.random.default_rng(opts.seed)
-    seeds = [t0]
-    for _ in range(opts.restarts - 1):
-        seeds.append(rng.normal(0.0, _RESTART_SCALE, t0.size))
-    return seeds, li
+def _tp_equations(misfit: _Misfit):
+    """(E, e) with ||E x - e|| = ||P(chi(x)) - I||_F, in the frame
+    coordinates of chi and of P."""
+    dim = misfit.basis.dim
+    gram = _constraint_gram(misfit.basis).reshape(-1, dim * dim)
+    p_frame = hermitian_frame(dim).conj()
+    e_mat = (p_frame @ (misfit.frame @ gram).T).real
+    e_rhs = (p_frame @ np.eye(dim).reshape(-1)).real
+    return e_mat, e_rhs
 
 
-def _best_of(func, seeds, opts):
-    best = None
-    iterations = evaluations = 0
-    for s in seeds:
-        res = minimize_adaptive(func, s, xtol=opts.xtol, maxfev=opts.maxfev)
-        iterations += res.iterations
-        evaluations += res.evaluations
-        if best is None or res.fun < best.fun:
-            best = res
-    return best, iterations, evaluations
+def _solve(counts, basis, opts, inputs, analyzers, tp: bool):
+    misfit = _Misfit(counts, basis, inputs, analyzers, opts.weight_mode)
+    seed = reconstruct_linear(counts, misfit.basis).chi.mat
+    # the solver starts from the projection of x0 onto the cone
+    res = minimize_adaptive(
+        misfit,
+        misfit.coords(seed),
+        misfit.hessian,
+        misfit.project,
+        equations=_tp_equations(misfit) if tp else None,
+        xtol=opts.xtol,
+        maxfev=opts.maxfev,
+    )
+    return res, ChiMatrix(misfit.basis, misfit.matrix(res.x))
 
 
 def normalize_max_p(chi: ChiMatrix):
@@ -291,33 +281,24 @@ def fit_unconstrained(
 ) -> FitReport:
     """Maximum-likelihood fit of a (possibly lossy) process matrix.
 
-    Starts Nelder-Mead from the linear-inversion seed and restarts - 1
-    random points, keeps the best optimum, and rescales it to max
-    eigenvalue of P equal to one.  Deterministic given (counts, opts).
+    Minimizes the misfit over positive semidefinite chi and rescales the
+    optimum to max eigenvalue of P equal to one; the reported objective
+    is the misfit of the optimum before rescaling.
     """
-    objective, basis = _objective_pieces(
-        counts, basis, inputs, analyzers, opts.weight_mode
-    )
-    seeds, _ = _seed_pool(counts, basis, opts)
-    seed_value = objective(seeds[0])
-    best, iterations, evaluations = _best_of(objective, seeds, opts)
-    if best.fun > seed_value:
-        raise DegenerateFitError(
-            f"optimizer made no progress (f={best.fun:.6e} vs seed {seed_value:.6e})"
-        )
-    raw = ChiMatrix(basis, chi_tilde(best.x, basis.dim))
+    res, raw = _solve(counts, basis, opts, inputs, analyzers, tp=False)
     chi, scale = normalize_max_p(raw)
     return FitReport(
         chi=chi,
-        objective=best.fun,
-        iterations=iterations,
-        evaluations=evaluations,
-        restarts_used=len(seeds),
+        objective=res.fun,
+        iterations=res.iterations,
+        evaluations=res.evaluations,
+        restarts_used=opts.restarts,
         normalization_scale=scale,
         seed=opts.seed,
         min_chi_eigenvalue=chi.min_eigenvalue(),
         psd_ok=True,
         method="mle",
+        converged=res.converged,
     )
 
 
@@ -330,77 +311,31 @@ def fit_trace_preserving(
 ) -> FitReport:
     """Fit under the (often wrong) assumption that the map preserves trace.
 
-    Minimizes f(t) + mu ||P(t) - I||_F^2 with mu growing by a fixed factor
-    per stage until the constraint residual drops below constraint_tol.
-    The reported objective is the unpenalized f at the solution.
+    Minimizes the misfit over positive semidefinite chi with P = I.
+    Raises DegenerateFitError if the returned chi misses P = I by
+    constraint_tol or more, which happens only when the iteration budget
+    runs out first.
     """
-    objective, basis = _objective_pieces(
-        counts, basis, inputs, analyzers, opts.weight_mode
-    )
-    dim = basis.dim
-    n = basis.size
-    diag = np.diag_indices(n)
-    rows, cols = _lower_indices(n)
-    ops_flat = basis.ops.reshape(n, dim * dim)
-    eye_flat = np.eye(dim).reshape(-1)
-    factor = np.zeros((n, n), dtype=complex)
-
-    def penalty(t):
-        # P = sum_r W_r^dag W_r with W_r = sum_n conj(T[r, n]) A_n; stacking
-        # the W_r vertically turns the sum into one small Gram product
-        factor[diag] = t[:n]
-        factor[rows, cols] = t[n::2] + 1j * t[n + 1 :: 2]
-        stacked = (factor.conj() @ ops_flat).reshape(n * dim, dim)
-        p = stacked.conj().T @ stacked
-        defect = p.reshape(-1) - eye_flat
-        return float(np.vdot(defect, defect).real)
-
-    def penalized(mu):
-        def g(t):
-            return objective(t) + mu * penalty(t)
-
-        return g
-
-    seeds, _ = _seed_pool(counts, basis, opts)
-    mu = opts.penalty_mu0
-    best, iterations, evaluations = _best_of(penalized(mu), seeds, opts)
-    x = best.x
-    residual = constraint_residual(chi_tilde(x, dim), basis)
-    stages = 1
-    while residual >= opts.constraint_tol and stages < opts.penalty_stages:
-        mu *= opts.penalty_growth
-        # the optimum moves by O(residual) per stage, so start the warm
-        # simplex at that scale instead of a full-size one
-        res = minimize_adaptive(
-            penalized(mu),
-            x,
-            xtol=opts.xtol,
-            maxfev=opts.continuation_maxfev,
-            step=max(residual, 1e-7),
-        )
-        iterations += res.iterations
-        evaluations += res.evaluations
-        x = res.x
-        residual = constraint_residual(chi_tilde(x, dim), basis)
-        stages += 1
+    res, chi = _solve(counts, basis, opts, inputs, analyzers, tp=True)
+    residual = constraint_residual(chi.mat, chi.basis)
     if residual >= opts.constraint_tol:
         raise DegenerateFitError(
-            f"penalty stages exhausted: ||P - I|| = {residual:.3e} "
-            f"after {stages} stages (target {opts.constraint_tol:.1e})"
+            f"trace-preserving fit missed its constraint: ||P - I|| = {residual:.3e} "
+            f"after {res.iterations} iterations (target {opts.constraint_tol:.1e})"
         )
-    chi = ChiMatrix(basis, chi_tilde(x, dim))
     return FitReport(
         chi=chi,
-        objective=objective(x),
-        iterations=iterations,
-        evaluations=evaluations,
-        restarts_used=len(seeds),
+        objective=res.fun,
+        iterations=res.iterations,
+        evaluations=res.evaluations,
+        restarts_used=opts.restarts,
         normalization_scale=1.0,
         seed=opts.seed,
         min_chi_eigenvalue=chi.min_eigenvalue(),
         psd_ok=True,
         constraint_residual=residual,
         method="mle-tp",
+        converged=res.converged,
     )
 
 

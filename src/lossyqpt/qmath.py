@@ -133,6 +133,17 @@ def herm_eig(m: np.ndarray, max_sweeps: int = 60) -> EigDecomposition:
     return EigDecomposition(w[order], v[:, order])
 
 
+def psd_projection(m: np.ndarray) -> np.ndarray:
+    """Nearest positive semidefinite matrix in Frobenius norm: the
+    negative eigenvalues of Hermitian m clipped to zero.
+
+    This is the inner loop of the chi-space fits, so it calls LAPACK
+    (np.linalg.eigh) rather than herm_eig; m is not validated.
+    """
+    w, v = np.linalg.eigh(m)
+    return (v * np.maximum(w, 0.0)) @ v.conj().T
+
+
 def psd_sqrt(
     m: np.ndarray, clamp_tol: float = DEFAULT_CLAMP_TOL
 ) -> np.ndarray:

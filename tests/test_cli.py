@@ -121,6 +121,43 @@ class TestReconstructCommand:
         assert run("reconstruct", "--counts", str(bad), "--method", "linear",
                    "--out", str(tmp_path / "o.json")) == 3
 
+    @pytest.mark.parametrize("flags", [
+        ("--restarts", "0"), ("--maxfev", "0"), ("--maxfev", "-5"),
+        ("--xtol", "0"), ("--xtol", "nan"),
+    ])
+    def test_malformed_fit_option_is_usage_error(self, tmp_path, capsys, flags):
+        counts = tmp_path / "counts.json"
+        run("simulate", "--gamma", "0.5", "--seed", "3", "--out", str(counts))
+        capsys.readouterr()
+        code = run("reconstruct", "--counts", str(counts), "--method", "mle",
+                   *flags, "--out", str(tmp_path / "fit.json"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "fit.json").exists()
+
+    def test_bogus_weight_mode_in_config_is_usage_error(self, tmp_path, capsys):
+        counts = tmp_path / "counts.json"
+        run("simulate", "--gamma", "0.5", "--seed", "3", "--out", str(counts))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"weight-mode": "bogus"}))
+        capsys.readouterr()
+        code = run("reconstruct", "--counts", str(counts), "--config", str(cfg),
+                   "--out", str(tmp_path / "fit.json"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "weight_mode" in err and "Traceback" not in err
+
+    def test_fit_report_has_convergence_flag(self, tmp_path):
+        counts = tmp_path / "counts.json"
+        run("simulate", "--gamma", "0.5", "--seed", "3", "--out", str(counts))
+        for method, budget, expected in (("mle", "50000", True), ("mle", "3", False),
+                                         ("linear", "3", True)):
+            out = tmp_path / f"{method}{budget}.json"
+            assert run("reconstruct", "--counts", str(counts), "--method", method,
+                       "--maxfev", budget, "--out", str(out)) == 0
+            assert json.loads(out.read_text())["converged"] is expected
+
     def test_deterministic_fit_report(self, tmp_path):
         counts = tmp_path / "counts.json"
         run("simulate", "--gamma", "0.4", "--seed", "5", "--out", str(counts))

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lossyqpt.channels import (
     ChiMatrix,
+    chi_from_kraus,
     pauli_basis,
     probability_operator,
     process_fidelity_ntp,
@@ -10,17 +13,16 @@ from lossyqpt.channels import (
 from lossyqpt.errors import DataError, DegenerateFitError
 from lossyqpt.mle import (
     FitOptions,
-    chi_tilde,
-    factor_from_params,
     fit_linear,
     fit_post_selected,
     fit_trace_preserving,
     fit_unconstrained,
+    hermitian_frame,
     likelihood,
+    likelihood_gradient,
     normalize_max_p,
-    params_from_chi,
-    params_from_factor,
 )
+from lossyqpt.qmath import psd_projection
 from lossyqpt.simulator import PpbsParams, SimConfig, ppbs_chi, simulate_counts
 from lossyqpt.tomography import reconstruct_linear
 
@@ -40,46 +42,48 @@ def table_for(gamma, seed=None, exposure=1e4, inputs=None):
     return simulate_counts(cfg)
 
 
-class TestParameterization:
-    def test_factor_round_trip(self):
-        rng = np.random.default_rng(0)
-        t = rng.normal(size=16)
-        assert np.array_equal(params_from_factor(factor_from_params(t, 2)), t)
+def random_hermitian(rng, n=4):
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return 0.5 * (g + g.conj().T)
 
-    def test_chi_tilde_always_psd(self):
+
+class TestProjection:
+    def test_projection_is_psd(self):
         rng = np.random.default_rng(1)
-        t = rng.normal(size=(100_000, 16))
-        factors = np.zeros((t.shape[0], 4, 4), dtype=complex)
-        idx = np.diag_indices(4)
-        factors[:, idx[0], idx[1]] = t[:, :4]
-        rows, cols = np.tril_indices(4, k=-1)
-        factors[:, rows, cols] = t[:, 4::2] + 1j * t[:, 5::2]
-        chis = np.einsum("bij,bik->bjk", factors.conj(), factors)
-        w = np.linalg.eigvalsh(chis)
-        assert w.min() >= -1e-12
+        for _ in range(200):
+            proj = psd_projection(random_hermitian(rng))
+            assert np.abs(proj - proj.conj().T).max() < 1e-12
+            assert np.linalg.eigvalsh(proj).min() >= -1e-12
 
-    def test_seed_reproduces_psd_chi(self):
-        chi = ppbs_chi(PpbsParams(1.0, 0.5))
-        t = params_from_chi(chi.mat)
-        assert np.abs(chi_tilde(t, 2) - chi.mat).max() < 1e-9
+    def test_projection_is_idempotent(self):
+        rng = np.random.default_rng(2)
+        for _ in range(200):
+            once = psd_projection(random_hermitian(rng))
+            assert np.abs(psd_projection(once) - once).max() < 1e-12
 
-    def test_seed_repairs_indefinite_chi(self):
+    def test_projection_keeps_psd_chi(self):
+        chi = ppbs_chi(PpbsParams(1.0, 0.5)).mat
+        assert np.abs(psd_projection(chi) - chi).max() < 1e-12
+
+    def test_projection_repairs_indefinite_chi(self):
         mat = np.diag([1.0, -1e-4, 0.0, 0.0]).astype(complex)
-        t = params_from_chi(mat)
-        rebuilt = chi_tilde(t, 2)
-        assert np.linalg.eigvalsh(rebuilt).min() >= -1e-12
-        assert abs(rebuilt[0, 0] - 1.0) < 1e-9
+        assert np.abs(psd_projection(mat) - np.diag([1.0, 0, 0, 0])).max() < 1e-15
+
+    def test_frame_is_orthonormal(self):
+        frame = hermitian_frame(4)
+        assert np.abs(frame.conj() @ frame.T - np.eye(16)).max() < 1e-15
+        mats = frame.reshape(16, 4, 4)
+        assert np.array_equal(mats, mats.conj().transpose(0, 2, 1))
 
 
 class TestLikelihood:
     def test_zero_at_truth_noiseless(self):
         table = table_for(0.5)
-        t = params_from_chi(ppbs_chi(PpbsParams(1.0, 0.5)).mat)
-        assert likelihood(t, table) < 1e-12
+        assert likelihood(ppbs_chi(PpbsParams(1.0, 0.5)), table) < 1e-12
 
     def test_zero_map_value(self):
         table = table_for(0.4, seed=2)
-        f = likelihood(np.zeros(16), table)
+        f = likelihood(np.zeros((4, 4)), table)
         n = table.counts.reshape(-1)
         assert f == pytest.approx(np.sum(n * n / np.maximum(n, 1.0)))
 
@@ -87,16 +91,15 @@ class TestLikelihood:
         table = table_for(0.5)
         chi = ppbs_chi(PpbsParams(1.0, 0.5)).mat
         def f_of(eps):
-            t = params_from_chi(chi + eps * np.diag([0, 1.0, 0, 0]))
-            return likelihood(t, table)
+            return likelihood(chi + eps * np.diag([0, 1.0, 0, 0]), table)
         f1, f2 = f_of(1e-3), f_of(2e-3)
         assert f2 / f1 == pytest.approx(4.0, rel=1e-4)
 
     def test_drop_mode_skips_dark_cells(self):
         table = table_for(0.3)  # noiseless table with exact zero cells
-        t = np.zeros(16)
-        f_floor = likelihood(t, table, weight_mode="floor")
-        f_drop = likelihood(t, table, weight_mode="drop")
+        zero = np.zeros((4, 4))
+        f_floor = likelihood(zero, table, weight_mode="floor")
+        f_drop = likelihood(zero, table, weight_mode="drop")
         n = table.counts.reshape(-1)
         assert f_drop == pytest.approx(np.sum(n[n > 0]))
         assert f_floor >= f_drop
@@ -113,29 +116,39 @@ class TestLikelihood:
         n = table.counts.reshape(-1)
         rng = np.random.default_rng(8)
         for _ in range(10):
-            t = rng.normal(size=16)
-            chi = chi_tilde(t, 2)
+            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            chi = g.conj().T @ g
             model = table.exposure * (design @ chi.reshape(-1)).real
             direct = float(np.sum((n - model) ** 2 / np.maximum(n, 1.0)))
-            assert likelihood(t, table) == pytest.approx(direct, rel=1e-12)
+            assert likelihood(chi, table) == pytest.approx(direct, rel=1e-12)
 
-    def test_gradient_richardson_ratio(self):
-        # the objective is quartic in t, so the central-difference error is
-        # exactly O(h^2) and halving the step quarters it
+    def test_gradient_matches_central_differences(self):
+        # f is quadratic in chi, so a central difference is exact up to
+        # rounding at any step size
         table = table_for(0.6, seed=3)
         rng = np.random.default_rng(4)
-        t0 = params_from_chi(ppbs_chi(PpbsParams(1.0, 0.6)).mat)
-        direction = rng.normal(size=16)
-        direction /= np.linalg.norm(direction)
+        chi = ppbs_chi(PpbsParams(1.0, 0.6)).mat
+        grad = likelihood_gradient(chi, table)
+        assert np.abs(grad - grad.conj().T).max() == 0.0
+        for h in (1e-1, 1e-3):
+            for _ in range(5):
+                d = random_hermitian(rng)
+                d /= np.linalg.norm(d)
+                central = (likelihood(chi + h * d, table)
+                           - likelihood(chi - h * d, table)) / (2 * h)
+                assert central == pytest.approx(np.trace(grad @ d).real,
+                                                rel=1e-7, abs=1e-6)
 
-        def central(h):
-            return (likelihood(t0 + h * direction, table)
-                    - likelihood(t0 - h * direction, table)) / (2 * h)
-
-        h = 1e-2
-        num = central(h) - central(h / 2)
-        den = central(h / 2) - central(h / 4)
-        assert num / den == pytest.approx(4.0, rel=1e-2)
+    def test_objective_quadratic_in_chi(self):
+        # third differences of a quadratic vanish: f(t) along a line is
+        # fixed by three points
+        table = table_for(0.3, seed=5)
+        rng = np.random.default_rng(6)
+        chi = ppbs_chi(PpbsParams(1.0, 0.3)).mat
+        d = random_hermitian(rng)
+        f = [likelihood(chi + k * 0.1 * d, table) for k in range(4)]
+        third = f[3] - 3 * f[2] + 3 * f[1] - f[0]
+        assert abs(third) <= 1e-9 * max(f)
 
 
 class TestFitUnconstrained:
@@ -189,7 +202,7 @@ class TestFitUnconstrained:
         table = table_for(0.4, seed=17)
         report = fit_unconstrained(table, opts=FAST)
         li = reconstruct_linear(table, PB)
-        seed_value = likelihood(params_from_chi(li.chi.mat), table)
+        seed_value = likelihood(psd_projection(li.chi.mat), table)
         assert report.objective <= seed_value + 1e-12
 
 
@@ -211,11 +224,11 @@ class TestFitTracePreserving:
         f_un = process_fidelity_ntp(un.chi, ref)
         assert f_tp < f_un - 0.05
 
-    def test_stage_exhaustion_raises(self):
+    def test_budget_exhaustion_raises(self):
+        # five iterations cannot meet P = I to constraint_tol
         table = table_for(0.2, seed=23)
-        opts = FitOptions(restarts=1, maxfev=4000, penalty_stages=1)
-        with pytest.raises(DegenerateFitError, match="penalty stages"):
-            fit_trace_preserving(table, opts=opts)
+        with pytest.raises(DegenerateFitError, match="missed its constraint"):
+            fit_trace_preserving(table, opts=FitOptions(maxfev=5))
 
 
 class TestFitPostSelected:
@@ -285,3 +298,87 @@ class TestNormalizeMaxP:
         chi = ChiMatrix(PB, np.zeros((4, 4), dtype=complex))
         with pytest.raises(DegenerateFitError):
             normalize_max_p(chi)
+
+
+def _lagrange_adjoint(lam):
+    """Hermitian matrix L*(lam) with Re Tr[L*(lam) chi] = Re Tr[lam P(chi)]
+    for P(chi) = sum_mn chi_mn A_n^dag A_m: L*(lam)_nm = Tr[lam A_n^dag A_m]."""
+    return np.einsum("ij,nkj,mki->nm", lam, PB.ops.conj(), PB.ops)
+
+
+def _assert_kkt(grad, chi, tol=1e-6):
+    # optimality over the PSD cone: grad >= 0 and complementary to chi
+    norm = np.linalg.norm(grad)
+    assert np.linalg.eigvalsh(grad)[0] >= -tol * norm
+    assert abs(np.trace(grad @ chi).real) <= tol * norm * np.trace(chi).real
+
+
+class TestOptimalityCertificate:
+    @pytest.mark.parametrize("gamma", [1.0, 0.55, 0.1])
+    def test_mle_is_global_optimum(self, gamma):
+        for seed in (41, 42, 43):
+            table = table_for(gamma, seed=seed)
+            report = fit_unconstrained(table)
+            raw = report.chi.mat * report.normalization_scale
+            _assert_kkt(likelihood_gradient(raw, table), raw)
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.55, 0.1])
+    def test_tp_is_global_optimum(self, gamma):
+        paulis = PB.ops
+        for seed in (41, 42, 43):
+            table = table_for(gamma, seed=seed)
+            chi = fit_trace_preserving(table).chi.mat
+            grad = likelihood_gradient(chi, table)
+            # least-squares multiplier lam of P = I from complementarity,
+            # (grad - L*(lam)) chi = 0, over Hermitian 2x2 lam
+            cols = np.array([(_lagrange_adjoint(h) @ chi).reshape(-1) for h in paulis]).T
+            rhs = (grad @ chi).reshape(-1)
+            coef, *_ = np.linalg.lstsq(np.vstack([cols.real, cols.imag]),
+                                       np.concatenate([rhs.real, rhs.imag]), rcond=None)
+            slack = grad - _lagrange_adjoint(np.tensordot(coef, paulis, axes=(0, 0)))
+            _assert_kkt(slack, chi)
+
+
+@st.composite
+def lossy_channels(draw):
+    """chi of a random Kraus set of rank 1-4, scaled by a random global
+    loss so that the largest eigenvalue of P is `transmission`."""
+    rank = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    transmission = draw(st.floats(0.05, 1.0))
+    rng = np.random.default_rng(seed)
+    ops = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(rank)]
+    total = sum(op.conj().T @ op for op in ops)
+    scale = np.sqrt(np.linalg.eigvalsh(total)[-1] / transmission)
+    return chi_from_kraus([op / scale for op in ops], PB)
+
+
+class TestNoiselessProperty:
+    @settings(deadline=None, max_examples=25)
+    @given(lossy_channels())
+    def test_fit_recovers_random_channel(self, chi):
+        table = simulate_counts(
+            SimConfig(PpbsParams(1.0, 1.0), exposure=1e4, noise="none"), chi=chi
+        )
+        report = fit_unconstrained(table)
+        assert report.converged
+        assert process_fidelity_ntp(report.chi, chi) >= 1.0 - 1e-6
+        eigs = probability_operator(report.chi).eigenvalues
+        assert eigs[-1] == pytest.approx(1.0, abs=1e-12)
+
+
+class TestFitOptions:
+    @pytest.mark.parametrize("kwargs", [
+        {"restarts": 0}, {"maxfev": 0}, {"maxfev": -1}, {"xtol": 0.0},
+        {"xtol": -1e-9}, {"xtol": float("nan")}, {"xtol": float("inf")},
+        {"weight_mode": "bogus"},
+    ])
+    def test_rejects_malformed(self, kwargs):
+        with pytest.raises(ValueError):
+            FitOptions(**kwargs)
+
+    def test_convergence_reported(self):
+        table = table_for(0.4, seed=9)
+        assert fit_unconstrained(table).converged
+        assert not fit_unconstrained(table, opts=FitOptions(maxfev=3)).converged
+        assert fit_linear(table).converged and fit_post_selected(table).converged
