@@ -99,6 +99,19 @@ def _resolve(args, config, name, default=None):
     return default
 
 
+def _resolve_number(args, config, name, kind, default=None):
+    """_resolve converted by kind (int or float); a value that does not
+    convert, typically a string from --config, is a usage error."""
+    value = _resolve(args, config, name, default)
+    if value is None:
+        return None
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        what = "an integer" if kind is int else "a number"
+        raise UsageError(f"--{name} must be {what}, got {value!r}") from None
+
+
 def _write_manifest(out_path: str, command: str, config: dict, seed, outputs,
                     inputs=()):
     manifest = {
@@ -118,20 +131,28 @@ def _write_manifest(out_path: str, command: str, config: dict, seed, outputs,
 
 
 def _ppbs_params(args, config) -> PpbsParams:
-    gamma = _resolve(args, config, "gamma")
-    t_h = _resolve(args, config, "t-h")
-    t_v = _resolve(args, config, "t-v")
+    gamma = _resolve_number(args, config, "gamma", float)
+    t_h = _resolve_number(args, config, "t-h", float)
+    t_v = _resolve_number(args, config, "t-v", float)
     if gamma is not None:
         if t_h is not None or t_v is not None:
             raise UsageError("--gamma and --t-h/--t-v are mutually exclusive")
         try:
-            return PpbsParams.from_gamma(float(gamma))
+            return PpbsParams.from_gamma(gamma)
         except DataError as exc:
             raise UsageError(str(exc)) from None
     if t_h is None or t_v is None:
         raise UsageError("need either --gamma or both --t-h and --t-v")
     try:
-        return PpbsParams(float(t_h), float(t_v))
+        return PpbsParams(t_h, t_v)
+    except DataError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _sim_config(params, exposure, seed, noise) -> SimConfig:
+    """SimConfig from flag values; values it rejects are usage errors."""
+    try:
+        return SimConfig(params, exposure=exposure, seed=seed, noise=noise)
     except DataError as exc:
         raise UsageError(str(exc)) from None
 
@@ -140,13 +161,9 @@ def cmd_simulate(args) -> int:
     config = _load_config(args)
     params = _ppbs_params(args, config)
     seed = _default_seed(args)
-    exposure = float(_resolve(args, config, "exposure", 1e4))
+    exposure = _resolve_number(args, config, "exposure", float, 1e4)
     noise = _resolve(args, config, "noise", "poisson")
-    try:
-        cfg = SimConfig(params, exposure=exposure, seed=seed, noise=noise)
-    except DataError as exc:
-        raise UsageError(str(exc)) from None
-    table = simulate_counts(cfg)
+    table = simulate_counts(_sim_config(params, exposure, seed, noise))
     resolved = {
         "t_h": params.t_h,
         "t_v": params.t_v,
@@ -163,9 +180,9 @@ def cmd_simulate(args) -> int:
 def _fit_options(args, config, seed) -> FitOptions:
     try:
         return FitOptions(
-            restarts=int(_resolve(args, config, "restarts", 4)),
-            maxfev=int(_resolve(args, config, "maxfev", 50_000)),
-            xtol=float(_resolve(args, config, "xtol", 1e-9)),
+            restarts=_resolve_number(args, config, "restarts", int, 4),
+            maxfev=_resolve_number(args, config, "maxfev", int, 50_000),
+            xtol=_resolve_number(args, config, "xtol", float, 1e-9),
             seed=seed,
             weight_mode=_resolve(args, config, "weight-mode", "floor"),
         )
@@ -270,10 +287,10 @@ def cmd_sweep(args) -> int:
     for m in methods:
         if m not in _METHODS:
             raise UsageError(f"unknown method {m!r}; choose from {sorted(_METHODS)}")
-    repeats = int(_resolve(args, config, "repeats", 1))
+    repeats = _resolve_number(args, config, "repeats", int, 1)
     if repeats < 1:
         raise UsageError("--repeats must be at least 1")
-    exposure = float(_resolve(args, config, "exposure", 1e4))
+    exposure = _resolve_number(args, config, "exposure", float, 1e4)
     noise = _resolve(args, config, "noise", "poisson")
 
     rows = []
@@ -282,8 +299,7 @@ def cmd_sweep(args) -> int:
         reference = ppbs_chi(params)
         for rep in range(repeats):
             run_seed = derive_seed(seed, gi, rep)
-            cfg = SimConfig(params, exposure=exposure, seed=run_seed, noise=noise)
-            table = simulate_counts(cfg)
+            table = simulate_counts(_sim_config(params, exposure, run_seed, noise))
             for method in methods:
                 opts = FitOptions(seed=run_seed)
                 report = _METHODS[method](table, opts=opts)

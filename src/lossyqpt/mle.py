@@ -49,7 +49,12 @@ from .channels import ChiMatrix, OperatorBasis, pauli_basis, probability_operato
 from .errors import DegenerateFitError, RepresentationError
 from .optimize import minimize_adaptive
 from .states import kets_for
-from .tomography import CountTable, _hermitian_basis, reconstruct_linear
+from .tomography import (
+    CountTable,
+    _hermitian_basis,
+    measurement_design,
+    reconstruct_linear,
+)
 
 
 @dataclass(frozen=True)
@@ -120,23 +125,6 @@ def _resolve_protocol(counts: CountTable, inputs, analyzers):
             "protocol labels disagree with the count table layout"
         )
     return kets_for(in_labels), kets_for(an_labels)
-
-
-def measurement_design(
-    basis: OperatorBasis, input_kets: np.ndarray, analyzer_kets: np.ndarray
-) -> np.ndarray:
-    """Matrix mapping vec(chi) to detection probabilities.
-
-    Row (a, b) holds <psi_b|A_m|phi_a><phi_a|A_n^dag|psi_b> flattened over
-    (m, n), so probabilities are Re(D @ vec(chi)).
-    """
-    amps = np.einsum(
-        "bi,mij,aj->abm", analyzer_kets.conj(), basis.ops, input_kets
-    )
-    outer = amps[:, :, :, None] * amps.conj()[:, :, None, :]
-    na, nb = amps.shape[0], amps.shape[1]
-    n = basis.size
-    return outer.reshape(na * nb, n * n)
 
 
 class _Misfit:

@@ -1,11 +1,9 @@
 """Dense complex linear algebra for small Hermitian matrices.
 
-Everything here operates on plain complex ndarrays.  The eigensolver is a
-cyclic Jacobi iteration with complex plane rotations: for matrices up to
-16x16 it is unconditionally convergent and keeps the whole numerical trust
-path inside this module.  Eigenvalues come back ascending; in degenerate
-subspaces only the projector is well defined, so tests and callers must
-not rely on individual eigenvectors there.
+Everything here operates on plain complex ndarrays.  Spectra come from
+LAPACK (np.linalg.eigh) behind a Hermiticity check.  Eigenvalues come back
+ascending; in degenerate subspaces only the projector is well defined, so
+tests and callers must not rely on individual eigenvectors there.
 """
 
 from __future__ import annotations
@@ -62,30 +60,11 @@ def require_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def _jacobi_rotation(app: float, aqq: float, apq: complex):
-    """2x2 unitary zeroing the off-diagonal element apq.
-
-    Returns the rotation as a (2, 2) array U such that
-    U^dag [[app, apq], [conj(apq), aqq]] U is diagonal.
-    """
-    r = abs(apq)
-    u = apq / r
-    tau = (aqq - app) / (2.0 * r)
-    if tau >= 0.0:
-        t = -1.0 / (tau + np.sqrt(1.0 + tau * tau))
-    else:
-        t = 1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
-    return np.array([[c * u, -s * u], [s, c]], dtype=complex)
-
-
-def herm_eig(m: np.ndarray, max_sweeps: int = 60) -> EigDecomposition:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+def herm_eig(m: np.ndarray) -> EigDecomposition:
+    """Eigendecomposition of a Hermitian matrix.
 
     Args:
         m: Hermitian matrix (validated against the standard tolerance).
-        max_sweeps: safety cap on full cyclic sweeps.
 
     Returns:
         EigDecomposition with ascending real eigenvalues and orthonormal
@@ -94,51 +73,16 @@ def herm_eig(m: np.ndarray, max_sweeps: int = 60) -> EigDecomposition:
     Raises:
         RepresentationError: non-square or non-Hermitian input.
     """
-    a = require_hermitian(m, "herm_eig input")
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    if n == 1:
-        return EigDecomposition(np.array([a[0, 0].real]), v)
-
-    scale = float(np.abs(a).max())
-    if scale == 0.0:
-        return EigDecomposition(np.zeros(n), v)
-    thresh = 1e-15 * scale
-
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= thresh:
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    continue
-                off = max(off, abs(apq))
-                rot = _jacobi_rotation(a[p, p].real, a[q, q].real, apq)
-                cols = [p, q]
-                a[:, cols] = a[:, cols] @ rot
-                a[cols, :] = rot.conj().T @ a[cols, :]
-                v[:, cols] = v[:, cols] @ rot
-                # kill rounding residue so convergence is monotone
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-        if off <= thresh:
-            break
-
-    w = np.diag(a).real.copy()
-    order = np.argsort(w, kind="stable")
-    return EigDecomposition(w[order], v[:, order])
+    w, v = np.linalg.eigh(require_hermitian(m, "herm_eig input"))
+    return EigDecomposition(w, v)
 
 
 def psd_projection(m: np.ndarray) -> np.ndarray:
     """Nearest positive semidefinite matrix in Frobenius norm: the
     negative eigenvalues of Hermitian m clipped to zero.
 
-    This is the inner loop of the chi-space fits, so it calls LAPACK
-    (np.linalg.eigh) rather than herm_eig; m is not validated.
+    This is the inner loop of the chi-space fits, so m is not validated
+    (herm_eig would check its Hermiticity on every call).
     """
     w, v = np.linalg.eigh(m)
     return (v * np.maximum(w, 0.0)) @ v.conj().T

@@ -26,13 +26,13 @@ from .channels import (
     ChiMatrix,
     OperatorBasis,
     ProbabilityOperator,
-    apply_channel,
     pauli_basis,
     probability_operator,
 )
 from .errors import DataError
-from .states import STATE_LABELS, state_catalog, state_ket  # noqa: F401  (re-export)
-from .tomography import CountTable
+from .states import STATE_LABELS, kets_for
+from .states import state_catalog, state_ket  # noqa: F401  (re-export)
+from .tomography import CountTable, measurement_design
 
 
 @dataclass(frozen=True)
@@ -65,11 +65,11 @@ class PpbsParams:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulated acquisition of the full 6x6 protocol.
+    """One simulated acquisition of the six-in six-out protocol (or of the
+    input and analyzer subsets named here) at a fixed exposure.
 
-    dark_counts (expected accidental coincidences per cell) and efficiency
-    (global detection scale) are hooks kept at their do-nothing defaults;
-    the count-table schema does not change when they are switched on.
+    The detectors are ideal: expected counts are exactly
+    exposure * Tr[Pi_b E(rho_a)], with no dark counts or efficiency scale.
     """
 
     params: PpbsParams
@@ -78,16 +78,14 @@ class SimConfig:
     noise: str = "poisson"
     inputs: tuple = STATE_LABELS
     analyzers: tuple = STATE_LABELS
-    dark_counts: float = 0.0
-    efficiency: float = 1.0
 
     def __post_init__(self):
-        if self.exposure <= 0:
-            raise DataError("exposure must be positive")
+        if not (np.isfinite(self.exposure) and self.exposure > 0):
+            raise DataError(
+                f"exposure must be finite and positive, got {self.exposure}"
+            )
         if self.noise not in ("poisson", "none"):
             raise DataError(f"noise must be 'poisson' or 'none', got {self.noise!r}")
-        if self.dark_counts < 0 or not 0.0 < self.efficiency <= 1.0:
-            raise DataError("need dark_counts >= 0 and efficiency in (0, 1]")
         object.__setattr__(self, "inputs", tuple(self.inputs))
         object.__setattr__(self, "analyzers", tuple(self.analyzers))
 
@@ -133,14 +131,11 @@ def expected_counts(
     inputs=STATE_LABELS,
     analyzers=STATE_LABELS,
 ) -> np.ndarray:
-    """Expected coincidences N * Tr[Pi_b E(rho_a)] for a generic channel."""
-    cat = state_catalog()
-    mu = np.empty((len(inputs), len(analyzers)))
-    for a, lab_in in enumerate(inputs):
-        out = apply_channel(chi, cat[lab_in])
-        for b, lab_an in enumerate(analyzers):
-            mu[a, b] = exposure * float(np.trace(cat[lab_an] @ out).real)
-    return np.clip(mu, 0.0, None)
+    """Expected coincidences N * Tr[Pi_b E(rho_a)] for a generic channel,
+    indexed (input, analyzer); the same design matrix the fits use."""
+    design = measurement_design(chi.basis, kets_for(inputs), kets_for(analyzers))
+    mu = exposure * (design @ chi.mat.reshape(-1)).real
+    return np.clip(mu, 0.0, None).reshape(len(inputs), len(analyzers))
 
 
 def simulate_counts(cfg: SimConfig, chi: ChiMatrix | None = None) -> CountTable:
@@ -154,7 +149,6 @@ def simulate_counts(cfg: SimConfig, chi: ChiMatrix | None = None) -> CountTable:
     if chi is None:
         chi = ppbs_chi(cfg.params)
     mu = expected_counts(chi, cfg.exposure, cfg.inputs, cfg.analyzers)
-    mu = cfg.efficiency * mu + cfg.dark_counts
     if cfg.noise == "poisson":
         rng = np.random.default_rng(cfg.seed)
         counts = rng.poisson(mu).astype(float)

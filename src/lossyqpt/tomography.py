@@ -121,8 +121,10 @@ class CountTable:
             raise DataError(f"counts must have shape {shape}, got {c.shape}")
         if not np.all(np.isfinite(c)) or c.min() < 0:
             raise DataError("counts must be finite and nonnegative")
-        if self.exposure <= 0:
-            raise DataError("exposure must be positive")
+        if not (np.isfinite(self.exposure) and self.exposure > 0):
+            raise DataError(
+                f"exposure must be finite and positive, got {self.exposure}"
+            )
         object.__setattr__(self, "inputs", tuple(self.inputs))
         object.__setattr__(self, "projectors", tuple(self.projectors))
         object.__setattr__(self, "counts", c)
@@ -134,6 +136,29 @@ class CountTable:
         except ValueError:
             raise DataError(f"no input {input_label!r} in table") from None
         return dict(zip(self.projectors, self.counts[i]))
+
+
+def measurement_design(
+    basis: OperatorBasis, input_kets: np.ndarray, analyzer_kets: np.ndarray
+) -> np.ndarray:
+    """The forward model: the matrix D mapping vec(chi) to detection
+    probabilities Tr[Pi_b E(rho_a)], so that expected counts are
+    exposure * Re(D @ vec(chi)).
+
+    Row (a, b) holds <psi_b|A_m|phi_a><phi_a|A_n^dag|psi_b> flattened over
+    (m, n), with rows ordered like CountTable.counts.reshape(-1).
+    """
+    if input_kets.shape[-1] != basis.dim or analyzer_kets.shape[-1] != basis.dim:
+        raise RepresentationError(
+            f"protocol states must have dimension {basis.dim} for this basis"
+        )
+    amps = np.einsum(
+        "bi,mij,aj->abm", analyzer_kets.conj(), basis.ops, input_kets
+    )
+    outer = amps[:, :, :, None] * amps.conj()[:, :, None, :]
+    na, nb = amps.shape[0], amps.shape[1]
+    n = basis.size
+    return outer.reshape(na * nb, n * n)
 
 
 def canonical_state_basis(d: int) -> StateBasis:

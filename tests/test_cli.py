@@ -172,6 +172,52 @@ class TestReconstructCommand:
         assert out.read_bytes() == first
 
 
+class TestBadValues:
+    @pytest.mark.parametrize("command, config, flags", [
+        ("sweep", {"repeats": "x"}, ("--gammas", "0.5", "--methods", "linear")),
+        ("sweep", {"exposure": "abc"}, ("--gammas", "0.5", "--methods", "linear")),
+        ("sweep", {}, ("--gammas", "0.5", "--methods", "linear", "--exposure", "-5")),
+        ("sweep", {}, ("--gammas", "0.5", "--methods", "linear", "--exposure", "nan")),
+        ("sweep", {"noise": "gaussian"}, ("--gammas", "0.5", "--methods", "linear")),
+        ("simulate", {"exposure": "abc"}, ("--gamma", "0.5")),
+        ("simulate", {"gamma": "abc"}, ()),
+        ("simulate", {"t-h": [1.0], "t-v": 0.5}, ()),
+        ("simulate", {}, ("--gamma", "0.5", "--exposure", "-5")),
+        ("simulate", {}, ("--gamma", "0.5", "--exposure", "nan")),
+        ("simulate", {}, ("--gamma", "0.5", "--exposure", "inf")),
+        ("reconstruct", {"maxfev": "many"}, ("--counts", "counts.json")),
+    ])
+    def test_usage_error(self, tmp_path, capsys, command, config, flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        counts = tmp_path / "counts.json"
+        run("simulate", "--gamma", "0.5", "--seed", "3", "--out", str(counts))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        flags = [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
+        code = run(command, "--config", str(cfg), *flags, "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("exposure", [float("nan"), float("inf")])
+    def test_non_finite_exposure_in_counts_is_data_error(self, tmp_path, capsys,
+                                                         exposure):
+        counts = tmp_path / "counts.json"
+        run("simulate", "--gamma", "0.5", "--seed", "3", "--out", str(counts))
+        doc = json.loads(counts.read_text())
+        doc["exposure"] = exposure
+        counts.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run("reconstruct", "--counts", str(counts), "--method", "linear",
+                   "--out", str(tmp_path / "fit.json"))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ") and "exposure" in err
+        assert not (tmp_path / "fit.json").exists()
+
+
 class TestSweepCommand:
     def test_csv_structure(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lossyqpt.channels import chi_from_kraus, pauli_basis
-from lossyqpt.errors import DataError
+from lossyqpt.channels import (
+    ChiMatrix,
+    apply_channel,
+    chi_from_kraus,
+    elementary_basis,
+    pauli_basis,
+)
+from lossyqpt.errors import DataError, RepresentationError
+from lossyqpt.mle import _Misfit
 from lossyqpt.simulator import (
     PpbsParams,
     SimConfig,
@@ -14,8 +23,8 @@ from lossyqpt.simulator import (
     ppbs_probability_operator,
     simulate_counts,
 )
-from lossyqpt.states import state_density
-from lossyqpt.tomography import reconstruct_linear
+from lossyqpt.states import STATE_LABELS, state_catalog, state_density
+from lossyqpt.tomography import CountTable, reconstruct_linear
 
 PB = pauli_basis()
 
@@ -101,6 +110,13 @@ class TestAnalyticP:
         assert p.classification == "uniform-lossy"
 
 
+class TestSimConfig:
+    @pytest.mark.parametrize("exposure", [0.0, -5.0, float("nan"), float("inf")])
+    def test_exposure_must_be_finite_and_positive(self, exposure):
+        with pytest.raises(DataError, match="exposure"):
+            SimConfig(PpbsParams.from_gamma(0.5), exposure=exposure)
+
+
 class TestSimulateCounts:
     def test_identity_channel_aligned_analyzer(self):
         cfg = SimConfig(PpbsParams(1.0, 1.0), exposure=1e4, noise="none")
@@ -123,23 +139,6 @@ class TestSimulateCounts:
         assert np.array_equal(a.counts, b.counts)
         c = simulate_counts(SimConfig(PpbsParams.from_gamma(0.255), seed=8))
         assert not np.array_equal(a.counts, c.counts)
-
-    def test_imperfection_hooks_default_off(self):
-        base = simulate_counts(SimConfig(PpbsParams.from_gamma(0.5), noise="none"))
-        hooked = simulate_counts(
-            SimConfig(PpbsParams.from_gamma(0.5), noise="none",
-                      dark_counts=0.0, efficiency=1.0)
-        )
-        assert np.array_equal(base.counts, hooked.counts)
-
-    def test_imperfection_hooks_shift_means(self):
-        cfg = SimConfig(PpbsParams.from_gamma(0.5), noise="none",
-                        dark_counts=25.0, efficiency=0.5)
-        base = simulate_counts(SimConfig(PpbsParams.from_gamma(0.5), noise="none"))
-        hooked = simulate_counts(cfg)
-        assert np.allclose(hooked.counts, 0.5 * base.counts + 25.0)
-        with pytest.raises(DataError):
-            SimConfig(PpbsParams.from_gamma(0.5), dark_counts=-1.0)
 
     def test_poisson_counts_integral(self):
         table = simulate_counts(SimConfig(PpbsParams.from_gamma(0.5), seed=1))
@@ -207,3 +206,58 @@ class TestGammaSweep:
         cfg = SimConfig(PpbsParams(1.0, 1.0), seed=3, noise="none")
         gammas = [0.9, 0.1, 0.5]
         assert [g for g, _ in gamma_sweep(gammas, cfg)] == gammas
+
+
+def per_cell_counts(chi, exposure, inputs, analyzers):
+    """The per-cell route exposure * Tr[Pi_b E(rho_a)], with E applied to
+    each input state on its own: an oracle for the design matrix."""
+    cat = state_catalog()
+    mu = np.array([
+        [exposure * np.trace(cat[b] @ apply_channel(chi, cat[a])).real
+         for b in analyzers]
+        for a in inputs
+    ])
+    return np.clip(mu, 0.0, None)
+
+
+label_subsets = st.lists(st.sampled_from(STATE_LABELS), min_size=1, max_size=6,
+                         unique=True).map(tuple)
+
+
+@st.composite
+def kraus_channels(draw):
+    """chi of a random rank 1-4 Kraus set, trace decreasing, in one of the
+    two named bases."""
+    rank = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    basis = draw(st.sampled_from([pauli_basis(), elementary_basis(2)]))
+    ops = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(rank)]
+    total = sum(op.conj().T @ op for op in ops)
+    scale = np.sqrt(np.linalg.eigvalsh(total)[-1] / draw(st.floats(0.05, 1.0)))
+    return chi_from_kraus([op / scale for op in ops], basis)
+
+
+class TestForwardModel:
+    @settings(deadline=None, max_examples=60)
+    @given(kraus_channels(), label_subsets, label_subsets, st.floats(1.0, 1e6))
+    def test_design_matrix_matches_per_cell_oracle(self, chi, inputs, analyzers,
+                                                   exposure):
+        mu = expected_counts(chi, exposure, inputs, analyzers)
+        assert mu.shape == (len(inputs), len(analyzers))
+        oracle = per_cell_counts(chi, exposure, inputs, analyzers)
+        assert np.abs(mu - oracle).max() <= 1e-12 * exposure
+
+    @settings(deadline=None, max_examples=60)
+    @given(kraus_channels(), label_subsets, label_subsets, st.floats(1.0, 1e6))
+    def test_fit_and_simulator_share_the_model(self, chi, inputs, analyzers,
+                                               exposure):
+        mu = expected_counts(chi, exposure, inputs, analyzers)
+        table = CountTable(2, inputs, analyzers, exposure, mu)
+        misfit = _Misfit(table, chi.basis, None, None, "floor")
+        model = misfit.model @ misfit.coords(chi.mat)
+        assert np.abs(model - mu.ravel()).max() <= 1e-12 * exposure
+
+    def test_protocol_dimension_must_match_channel(self):
+        chi = ChiMatrix(elementary_basis(3), np.eye(9, dtype=complex) / 9.0)
+        with pytest.raises(RepresentationError):
+            expected_counts(chi, 1e4)

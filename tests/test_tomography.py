@@ -7,6 +7,7 @@ from lossyqpt.simulator import SimConfig, PpbsParams, simulate_counts
 from lossyqpt.states import STATE_LABELS, state_catalog, state_density
 from lossyqpt.tomography import (
     BetaTensor,
+    CountTable,
     StateBasis,
     build_beta,
     canonical_state_basis,
@@ -35,6 +36,13 @@ def random_channel(rng, rank, dim=2):
 def exact_table(chi, exposure=1e4, inputs=STATE_LABELS):
     cfg = SimConfig(PpbsParams(1.0, 1.0), exposure=exposure, noise="none", inputs=inputs)
     return simulate_counts(cfg, chi=chi)
+
+
+class TestCountTable:
+    @pytest.mark.parametrize("exposure", [0.0, -1.0, float("nan"), float("inf")])
+    def test_exposure_must_be_finite_and_positive(self, exposure):
+        with pytest.raises(DataError, match="exposure"):
+            CountTable(2, STATE_LABELS, STATE_LABELS, exposure, np.ones((6, 6)))
 
 
 class TestStateBasis:
