@@ -220,7 +220,7 @@ def cmd_reconstruct(args) -> int:
     config = _load_config(args)
     seed = _default_seed(args)
     method = _resolve(args, config, "method", "mle")
-    if method not in _METHODS:
+    if not isinstance(method, str) or method not in _METHODS:
         raise UsageError(
             f"unknown method {method!r}; choose from {sorted(_METHODS)}"
         )
@@ -247,6 +247,14 @@ def cmd_reconstruct(args) -> int:
     return 0
 
 
+def _list_items(value):
+    """Items of a JSON list from --config, or the non-empty comma-separated
+    tokens of a flag or config string."""
+    if isinstance(value, list):
+        return value
+    return [tok for tok in str(value).split(",") if tok.strip()]
+
+
 def _parse_gammas(args, config):
     gammas = _resolve(args, config, "gammas")
     grange = _resolve(args, config, "gamma-range")
@@ -254,8 +262,8 @@ def _parse_gammas(args, config):
         raise UsageError("need exactly one of --gammas or --gamma-range")
     if gammas is not None:
         try:
-            values = [float(tok) for tok in str(gammas).split(",") if tok.strip()]
-        except ValueError:
+            values = [float(tok) for tok in _list_items(gammas)]
+        except (TypeError, ValueError):
             raise UsageError(f"cannot parse --gammas {gammas!r}") from None
     else:
         try:
@@ -277,11 +285,10 @@ def cmd_sweep(args) -> int:
     config = _load_config(args)
     seed = _default_seed(args)
     gammas = _parse_gammas(args, config)
-    methods = [
-        tok.strip()
-        for tok in str(_resolve(args, config, "methods", "mle")).split(",")
-        if tok.strip()
-    ]
+    methods = _list_items(_resolve(args, config, "methods", "mle"))
+    if not all(isinstance(m, str) for m in methods):
+        raise UsageError(f"--methods must be method names, got {methods!r}")
+    methods = [m.strip() for m in methods if m.strip()]
     if not methods:
         raise UsageError("empty method set")
     for m in methods:

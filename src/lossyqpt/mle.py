@@ -15,9 +15,10 @@ delta_jk) turns every fit into
     minimize 1/2 x^T H x - b^T x + c   over the positive semidefinite cone,
 
 a convex problem with a single optimum, which optimize.minimize_adaptive
-solves by projecting onto the cone with eigenvalue clipping (orthonormal
-coordinates make that projection the Euclidean one).  No restarts are
-needed, and the gradient matrix at the result certifies optimality.
+solves by Anderson-accelerated ADMM, projecting onto the cone with
+eigenvalue clipping (orthonormal coordinates make that projection the
+Euclidean one).  No restarts are needed, and the gradient matrix at the
+result certifies optimality.
 
 Three reconstruction flavors:
 

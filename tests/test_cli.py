@@ -186,6 +186,16 @@ class TestBadValues:
         ("simulate", {}, ("--gamma", "0.5", "--exposure", "nan")),
         ("simulate", {}, ("--gamma", "0.5", "--exposure", "inf")),
         ("reconstruct", {"maxfev": "many"}, ("--counts", "counts.json")),
+        ("reconstruct", {"method": ["mle"]}, ("--counts", "counts.json")),
+        ("reconstruct", {"method": {"name": "mle"}}, ("--counts", "counts.json")),
+        ("reconstruct", {"method": 3}, ("--counts", "counts.json")),
+        ("sweep", {"gammas": [0.5, "x"]}, ("--methods", "linear")),
+        ("sweep", {"gammas": [[0.5]]}, ("--methods", "linear")),
+        ("sweep", {"gammas": []}, ("--methods", "linear")),
+        ("sweep", {"gammas": [0.5, 1.5]}, ("--methods", "linear")),
+        ("sweep", {"methods": ["linear", 3]}, ("--gammas", "0.5")),
+        ("sweep", {"methods": ["bogus"]}, ("--gammas", "0.5")),
+        ("sweep", {"methods": []}, ("--gammas", "0.5")),
     ])
     def test_usage_error(self, tmp_path, capsys, command, config, flags):
         cfg = tmp_path / "cfg.json"
@@ -243,6 +253,19 @@ class TestSweepCommand:
     def test_empty_methods_usage_error(self, tmp_path):
         assert run("sweep", "--gammas", "0.5", "--methods", ",",
                    "--out", str(tmp_path / "s.csv")) == 2
+
+    def test_config_list_forms(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gammas": [0.5, 1.0],
+                                   "methods": ["linear", "post-selected"]}))
+        from_lists, from_flags = tmp_path / "lists.csv", tmp_path / "flags.csv"
+        assert run("sweep", "--config", str(cfg), "--noise", "none",
+                   "--out", str(from_lists)) == 0
+        assert run("sweep", "--gammas", "0.5,1.0", "--methods", "linear,post-selected",
+                   "--noise", "none", "--out", str(from_flags)) == 0
+        rows = from_lists.read_text().splitlines()[1:]
+        assert len(rows) == 1 + 2 * 2
+        assert rows == from_flags.read_text().splitlines()[1:]
 
     def test_gamma_range_form(self, tmp_path):
         out = tmp_path / "sweep.csv"

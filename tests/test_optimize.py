@@ -1,0 +1,75 @@
+import numpy as np
+import pytest
+
+from lossyqpt.mle import hermitian_frame
+from lossyqpt.optimize import minimize_adaptive
+from lossyqpt.qmath import psd_projection
+
+FRAME = hermitian_frame(4)
+
+
+def coords(mat):
+    return (FRAME.conj() @ mat.reshape(-1)).real
+
+
+def matrix(x):
+    return (FRAME.T @ x).reshape(4, 4)
+
+
+def project(x):
+    return coords(psd_projection(matrix(x)))
+
+
+def random_unitary(rng, n):
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def isotropic_quadratic(c, b):
+    """f(x) = c/2 ||x||^2 - b.x, whose minimum over the cone is the
+    projection of b / c."""
+    return lambda x: (0.5 * c * x @ x - b @ x, c * x - b)
+
+
+class TestAnalyticOracle:
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("c", [0.5, 3.0, 1e3])
+    def test_random_b(self, seed, c):
+        rng = np.random.default_rng(seed)
+        b = rng.normal(size=16) * c
+        res = minimize_adaptive(isotropic_quadratic(c, b), rng.normal(size=16),
+                                c * np.eye(16), project)
+        assert res.converged
+        assert np.abs(res.x - project(b / c)).max() <= 1e-8
+
+    @pytest.mark.parametrize("spectrum, rank", [
+        ([2.0, 0.5, -0.3, -1.0], 2),
+        ([1.0, -1e-3, -0.5, -4.0], 1),
+        ([3.0, 1.0, 0.2, 0.1], 4),
+    ])
+    def test_known_rank(self, spectrum, rank):
+        rng = np.random.default_rng(rank)
+        v = random_unitary(rng, 4)
+        target = coords((v * np.array(spectrum)) @ v.conj().T)
+        c = 2.0
+        res = minimize_adaptive(isotropic_quadratic(c, c * target), np.zeros(16),
+                                c * np.eye(16), project)
+        expected = project(target)
+        assert res.converged
+        assert np.abs(res.x - expected).max() <= 1e-8
+        assert np.sum(np.linalg.eigvalsh(matrix(res.x)) > 1e-6) == rank
+        assert res.fun == pytest.approx(isotropic_quadratic(c, c * target)(expected)[0],
+                                        rel=1e-12, abs=1e-12)
+
+    def test_evaluations_count_calls(self):
+        calls = []
+        f = isotropic_quadratic(1.0, np.ones(16))
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        res = minimize_adaptive(counted, np.zeros(16), np.eye(16), project)
+        assert res.converged and res.iterations > 2
+        assert res.evaluations == len(calls) == 2
