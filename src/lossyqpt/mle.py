@@ -36,18 +36,31 @@ Three reconstruction flavors:
     flagged rather than silently repaired.
 
 Both chi-space fits start from the positive semidefinite projection of
-the linear inversion and are deterministic given the count table.
+the least-squares chi of the rates counts / exposure, which on a complete
+protocol equals the linear inversion, and are deterministic given the
+count table.  Everything that depends only on the protocol (the frame,
+the unit-exposure design, the P = I equations and the least-squares map)
+is computed once per protocol and cached for the named bases.  A
+protocol whose inputs or analyzers do not determine chi raises
+SingularSystemError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import qmath
-from .channels import ChiMatrix, OperatorBasis, pauli_basis, probability_operator
-from .errors import DegenerateFitError, RepresentationError
+from .channels import (
+    ChiMatrix,
+    OperatorBasis,
+    elementary_basis,
+    pauli_basis,
+    probability_operator,
+)
+from .errors import DegenerateFitError, RepresentationError, SingularSystemError
 from .optimize import minimize_adaptive
 from .states import kets_for
 from .tomography import (
@@ -125,7 +138,51 @@ def _resolve_protocol(counts: CountTable, inputs, analyzers):
         raise RepresentationError(
             "protocol labels disagree with the count table layout"
         )
-    return kets_for(in_labels), kets_for(an_labels)
+    return in_labels, an_labels
+
+
+@dataclass(frozen=True)
+class _FitPlan:
+    """The constants of a fit that depend only on the protocol (operator
+    basis, input labels, analyzer labels), not on the counts.
+
+    design maps frame coordinates to detection probabilities (unit
+    exposure); seed_map is its pseudo-inverse, which turns rates into the
+    least-squares chi, or None when the protocol does not determine chi.
+    """
+
+    frame: np.ndarray
+    design: np.ndarray
+    tp_equations: tuple[np.ndarray, np.ndarray]
+    seed_map: np.ndarray | None
+
+
+def _build_plan(basis: OperatorBasis, in_labels, an_labels) -> _FitPlan:
+    frame = hermitian_frame(basis.size)
+    design = measurement_design(basis, kets_for(in_labels), kets_for(an_labels))
+    design = (design @ frame.T).real
+    complete = np.linalg.matrix_rank(design, tol=1e-10) == frame.shape[0]
+    seed_map = np.linalg.pinv(design) if complete else None
+    plan = _FitPlan(frame, design, _tp_equations(basis, frame), seed_map)
+    # cached plans are shared by every fit of the protocol
+    for arr in (frame, design, *plan.tp_equations, seed_map):
+        if arr is not None:
+            arr.flags.writeable = False
+    return plan
+
+
+@lru_cache(maxsize=32)
+def _named_plan(label: str, dim: int, in_labels: tuple, an_labels: tuple) -> _FitPlan:
+    basis = pauli_basis() if label == "pauli" else elementary_basis(dim)
+    return _build_plan(basis, in_labels, an_labels)
+
+
+def _plan_for(basis: OperatorBasis, in_labels: tuple, an_labels: tuple) -> _FitPlan:
+    """The fit plan of a protocol, cached for the named bases as
+    tomography.tau_for_basis caches tau."""
+    if basis.label in ("pauli", "elementary-scaled"):
+        return _named_plan(basis.label, basis.dim, in_labels, an_labels)
+    return _build_plan(basis, in_labels, an_labels)
 
 
 class _Misfit:
@@ -136,11 +193,10 @@ class _Misfit:
             if counts.dim != 2:
                 raise RepresentationError("a basis must be given for d != 2")
             basis = pauli_basis()
-        in_kets, an_kets = _resolve_protocol(counts, inputs, analyzers)
         self.basis = basis
-        self.frame = hermitian_frame(basis.size)
-        design = measurement_design(basis, in_kets, an_kets)
-        model = counts.exposure * (design @ self.frame.T).real
+        self.plan = _plan_for(basis, *_resolve_protocol(counts, inputs, analyzers))
+        self.frame = self.plan.frame
+        model = counts.exposure * self.plan.design
         n_flat = counts.counts.reshape(-1)
         if weight_mode == "drop":
             keep = n_flat > 0
@@ -220,27 +276,32 @@ def constraint_residual(chi_mat: np.ndarray, basis: OperatorBasis) -> float:
     return float(np.linalg.norm(p - np.eye(basis.dim)))
 
 
-def _tp_equations(misfit: _Misfit):
+def _tp_equations(basis: OperatorBasis, frame: np.ndarray):
     """(E, e) with ||E x - e|| = ||P(chi(x)) - I||_F, in the frame
     coordinates of chi and of P."""
-    dim = misfit.basis.dim
-    gram = _constraint_gram(misfit.basis).reshape(-1, dim * dim)
+    dim = basis.dim
+    gram = _constraint_gram(basis).reshape(-1, dim * dim)
     p_frame = hermitian_frame(dim).conj()
-    e_mat = (p_frame @ (misfit.frame @ gram).T).real
+    e_mat = (p_frame @ (frame @ gram).T).real
     e_rhs = (p_frame @ np.eye(dim).reshape(-1)).real
     return e_mat, e_rhs
 
 
 def _solve(counts, basis, opts, inputs, analyzers, tp: bool):
     misfit = _Misfit(counts, basis, inputs, analyzers, opts.weight_mode)
-    seed = reconstruct_linear(counts, misfit.basis).chi.mat
-    # the solver starts from the projection of x0 onto the cone
+    plan = misfit.plan
+    if plan.seed_map is None:
+        raise SingularSystemError(
+            "the protocol's inputs and analyzers do not determine chi"
+        )
+    # the solver starts from the projection of x0, the least-squares chi,
+    # onto the cone
     res = minimize_adaptive(
         misfit,
-        misfit.coords(seed),
+        plan.seed_map @ (counts.counts.reshape(-1) / counts.exposure),
         misfit.hessian,
         misfit.project,
-        equations=_tp_equations(misfit) if tp else None,
+        equations=plan.tp_equations if tp else None,
         xtol=opts.xtol,
         maxfev=opts.maxfev,
     )

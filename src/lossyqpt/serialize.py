@@ -107,8 +107,11 @@ def count_table_to_dict(table: CountTable) -> dict:
 def count_table_from_dict(doc: dict) -> CountTable:
     _check_kind(doc, "count_table")
     try:
+        for what in ("inputs", "projectors"):
+            if not isinstance(doc[what], list):
+                raise DataError(f"count table {what} must be a list of labels")
         return CountTable(
-            dim=int(doc["dim"]),
+            dim=doc["dim"],
             inputs=tuple(doc["inputs"]),
             projectors=tuple(doc["projectors"]),
             exposure=float(doc["exposure"]),

@@ -102,9 +102,10 @@ class LambdaMatrix:
 class CountTable:
     """Coincidence counts indexed by (input state, analyzer projector).
 
-    exposure is the expected number of pairs per input setting.  Counts
-    are kept as floats: Poisson draws are integer valued, while noiseless
-    tables carry the exact expected values so that the algebraic pipeline
+    Labels are distinct strings and dim is an integer.  exposure is the
+    expected number of pairs per input setting.  Counts are kept as
+    floats: Poisson draws are integer valued, while noiseless tables
+    carry the exact expected values so that the algebraic pipeline
     reproduces the underlying channel to machine precision.
     """
 
@@ -115,6 +116,15 @@ class CountTable:
     counts: np.ndarray
 
     def __post_init__(self):
+        if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)):
+            raise DataError(f"dim must be an integer, got {self.dim!r}")
+        for what in ("inputs", "projectors"):
+            labels = tuple(getattr(self, what))
+            if not all(isinstance(lab, str) for lab in labels):
+                raise DataError(f"{what} labels must be strings, got {list(labels)!r}")
+            if len(set(labels)) != len(labels):
+                raise DataError(f"duplicate {what} labels in {list(labels)!r}")
+            object.__setattr__(self, what, labels)
         c = np.asarray(self.counts, dtype=float)
         shape = (len(self.inputs), len(self.projectors))
         if c.shape != shape:
@@ -125,8 +135,7 @@ class CountTable:
             raise DataError(
                 f"exposure must be finite and positive, got {self.exposure}"
             )
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "projectors", tuple(self.projectors))
+        object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "counts", c)
 
     def row(self, input_label: str) -> dict:

@@ -1,12 +1,20 @@
+import contextlib
+import io
 import json
+import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lossyqpt import serialize
 from lossyqpt.channels import ChiMatrix, pauli_basis
 from lossyqpt.cli import main
-from lossyqpt.simulator import PpbsParams, ppbs_chi
+from lossyqpt.simulator import PpbsParams, SimConfig, ppbs_chi, simulate_counts
+from lossyqpt.states import STATE_LABELS
 
 
 def run(*argv):
@@ -226,6 +234,96 @@ class TestBadValues:
         assert code == 3
         assert err.startswith("error: ") and "exposure" in err
         assert not (tmp_path / "fit.json").exists()
+
+    @pytest.mark.parametrize("method", ["linear", "mle"])
+    @pytest.mark.parametrize("field, value", [
+        ("inputs", [["H"], "V", "D", "A", "R", "L"]),
+        ("inputs", ["H", "H", "D", "A", "R", "L"]),
+        ("projectors", ["H", "V", "D", "A", "R", "R"]),
+        ("dim", 2.5),
+    ])
+    def test_malformed_count_table_is_data_error(self, tmp_path, capsys, method,
+                                                 field, value):
+        counts = tmp_path / "counts.json"
+        run("simulate", "--gamma", "0.5", "--seed", "3", "--out", str(counts))
+        doc = json.loads(counts.read_text())
+        doc[field] = value
+        counts.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run("reconstruct", "--counts", str(counts), "--method", method,
+                   "--out", str(tmp_path / "fit.json"))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "fit.json").exists()
+
+
+def _valid_count_doc():
+    table = simulate_counts(SimConfig(PpbsParams.from_gamma(0.5), seed=4))
+    return serialize.count_table_to_dict(table)
+
+
+_not_a_label = st.one_of(
+    st.text(max_size=3).filter(lambda t: t not in STATE_LABELS),
+    st.integers(), st.floats(), st.none(), st.booleans(),
+    st.lists(st.sampled_from(STATE_LABELS), max_size=2),
+)
+
+
+@st.composite
+def malformed_count_docs(draw):
+    """(count-table document, method) that `reconstruct` must reject."""
+    doc = _valid_count_doc()
+    method = draw(st.sampled_from(["linear", "post-selected", "mle", "mle-tp"]))
+    what = draw(st.sampled_from(["inputs", "projectors"]))
+    i, j = draw(st.lists(st.integers(0, 5), min_size=2, max_size=2, unique=True))
+    defect = draw(st.sampled_from(
+        ["label", "duplicate", "non-finite", "ragged", "dim", "kind", "schema",
+         "zero-row"]))
+    if defect == "label":
+        doc[what][i] = draw(_not_a_label)
+    elif defect == "duplicate":
+        doc[what][j] = doc[what][i]
+    elif defect == "non-finite":
+        doc["counts"][i][j] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif defect == "ragged":
+        row = doc["counts"][i]
+        doc["counts"][i] = row[:j] if draw(st.booleans()) else row + row[:j + 1]
+    elif defect == "dim":
+        doc["dim"] = draw(st.one_of(
+            st.integers().filter(lambda d: d != 2), st.floats(), st.text(max_size=2),
+            st.none()))
+    elif defect == "kind":
+        doc["kind"] = draw(st.one_of(
+            st.text(max_size=12).filter(lambda k: k != "count_table"), st.none()))
+    elif defect == "schema":
+        doc["schema"] = draw(st.one_of(
+            st.integers().filter(lambda v: v != 1), st.text(max_size=2), st.none()))
+    else:
+        # post-selection cannot normalize an input that was never detected
+        doc["counts"][i] = [0] * 6
+        method = "post-selected"
+    return doc, method
+
+
+class TestCountTableFuzz:
+    @settings(deadline=None, max_examples=150)
+    @given(malformed_count_docs())
+    def test_malformed_table_exits_cleanly(self, case):
+        doc, method = case
+        with tempfile.TemporaryDirectory() as tmp:
+            counts = os.path.join(tmp, "counts.json")
+            out = os.path.join(tmp, "fit.json")
+            with open(counts, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run("reconstruct", "--counts", counts, "--method", method,
+                           "--out", out)
+            assert code in (3, 4)
+            assert err.getvalue().startswith("error: ")
+            assert "Traceback" not in err.getvalue()
+            assert not os.path.exists(out)
 
 
 class TestSweepCommand:

@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lossyqpt.channels import (
     ChiMatrix,
     chi_from_kraus,
+    elementary_basis,
     pauli_basis,
     probability_operator,
     process_fidelity_ntp,
 )
-from lossyqpt.errors import DataError, DegenerateFitError
+from lossyqpt.errors import DataError, DegenerateFitError, SingularSystemError
 from lossyqpt.mle import (
     FitOptions,
+    _plan_for,
     fit_linear,
     fit_post_selected,
     fit_trace_preserving,
@@ -24,7 +26,8 @@ from lossyqpt.mle import (
 )
 from lossyqpt.qmath import psd_projection
 from lossyqpt.simulator import PpbsParams, SimConfig, ppbs_chi, simulate_counts
-from lossyqpt.tomography import reconstruct_linear
+from lossyqpt.states import STATE_LABELS, state_density
+from lossyqpt.tomography import CountTable, reconstruct_linear
 
 PB = pauli_basis()
 
@@ -358,13 +361,13 @@ class TestOptimalityCertificate:
 
     @pytest.mark.parametrize("gamma", [1.0, 0.55, 0.1])
     def test_iteration_budget(self, gamma):
-        # unaccelerated ADMM takes 364-848 steps on these tables, the
-        # Anderson-accelerated solver 43-109
+        # unaccelerated ADMM takes 364-848 steps on these tables, Anderson
+        # acceleration with a memory of 5 steps 43-109 and with 10 steps 31-77
         for seed in (41, 42, 43):
             table = table_for(gamma, seed=seed)
             for report in (fit_unconstrained(table), fit_trace_preserving(table)):
                 assert report.converged
-                assert report.iterations <= 300
+                assert report.iterations <= 100
 
     @settings(deadline=None, max_examples=25)
     @given(lossy_channels(), st.integers(0, 2**32 - 1))
@@ -397,6 +400,45 @@ class TestNoiselessProperty:
         assert process_fidelity_ntp(report.chi, chi) >= 1.0 - 1e-6
         eigs = probability_operator(report.chi).eigenvalues
         assert eigs[-1] == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def spanning_inputs(draw):
+    """Input label subsets whose states span the 2x2 matrices."""
+    labels = draw(st.lists(st.sampled_from(STATE_LABELS), min_size=4, max_size=6,
+                           unique=True))
+    rhos = np.array([state_density(lab).reshape(-1) for lab in labels])
+    assume(np.linalg.matrix_rank(rhos) == 4)
+    return tuple(labels)
+
+
+class TestLeastSquaresSeed:
+    @settings(deadline=None, max_examples=60)
+    @given(spanning_inputs(), st.permutations(STATE_LABELS),
+           st.sampled_from([PB, elementary_basis(2)]), st.floats(10.0, 1e6),
+           st.integers(0, 2**32 - 1))
+    def test_seed_is_linear_inversion(self, inputs, analyzers, basis, exposure,
+                                      seed):
+        # any nonnegative table, physical or not
+        rng = np.random.default_rng(seed)
+        counts = rng.uniform(0.0, exposure, size=(len(inputs), len(analyzers)))
+        table = CountTable(2, inputs, tuple(analyzers), exposure, counts)
+        plan = _plan_for(basis, table.inputs, table.projectors)
+        x = plan.seed_map @ (table.counts.reshape(-1) / exposure)
+        chi = (plan.frame.T @ x).reshape(4, 4)
+        linear = reconstruct_linear(table, basis).chi.mat
+        assert np.abs(chi - linear).max() <= 1e-10 * max(1.0, np.abs(linear).max())
+
+    @pytest.mark.parametrize("protocol", [
+        {"inputs": ("H", "V", "D")},
+        {"inputs": ("H", "V", "D", "A")},
+        {"analyzers": ("H", "V", "D", "A")},
+    ])
+    @pytest.mark.parametrize("fit", [fit_unconstrained, fit_trace_preserving])
+    def test_incomplete_protocol_is_singular(self, protocol, fit):
+        cfg = SimConfig(PpbsParams.from_gamma(0.5), seed=3, **protocol)
+        with pytest.raises(SingularSystemError):
+            fit(simulate_counts(cfg))
 
 
 class TestFitOptions:
