@@ -268,7 +268,7 @@ def _parse_gammas(args, config):
     else:
         try:
             lo, hi, count = str(grange).split(":")
-            values = list(np.linspace(float(lo), float(hi), int(count)))
+            values = np.linspace(float(lo), float(hi), int(count)).tolist()
         except ValueError:
             raise UsageError(
                 f"--gamma-range must be start:stop:count, got {grange!r}"

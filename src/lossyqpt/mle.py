@@ -20,8 +20,9 @@ eigenvalue clipping (orthonormal coordinates make that projection the
 Euclidean one).  No restarts are needed, and the gradient matrix at the
 result certifies optimality.
 
-Three reconstruction flavors:
+Four reconstruction flavors, each reporting the misfit f of its chi:
 
+  * fit_linear: the least-squares chi of the rates counts / exposure.
   * fit_unconstrained: the correct treatment for lossy maps.  The result
     is rescaled so that the largest eigenvalue of the success operator P
     is one, since a global loss factor is not measurable.
@@ -30,19 +31,19 @@ Three reconstruction flavors:
     iterate meets to the solver's tolerance.  For genuinely lossy,
     state-dependent devices this is a wrong model, and its fidelity to
     the true map degrades as the polarization dependence grows.
-  * fit_post_selected: normalizes every tomographed output state to unit
-    trace before linear inversion, mimicking post-selected measurements.
-    Also a wrong model; the result can even be indefinite, so it is
-    flagged rather than silently repaired.
+  * fit_post_selected: the linear fit of rates whose rows are each
+    divided by the trace of their output state, mimicking post-selected
+    measurements.  Also a wrong model; the result can even be indefinite,
+    so it is flagged rather than silently repaired.
 
-Both chi-space fits start from the positive semidefinite projection of
-the least-squares chi of the rates counts / exposure, which on a complete
-protocol equals the linear inversion, and are deterministic given the
-count table.  Everything that depends only on the protocol (the frame,
-the unit-exposure design, the P = I equations and the least-squares map)
-is computed once per protocol and cached for the named bases.  A
-protocol whose inputs or analyzers do not determine chi raises
-SingularSystemError.
+The least-squares chi equals tomography's beta/tau linear inversion on a
+complete protocol.  The chi-space fits start from its positive
+semidefinite projection and are deterministic given the count table.
+Everything that depends only on the protocol (the frame, the
+unit-exposure design, the P = I equations, the least-squares map and the
+output-trace weights) is computed once per protocol and cached for the
+named bases.  A protocol whose inputs or analyzers do not determine chi
+raises SingularSystemError.
 """
 
 from __future__ import annotations
@@ -60,14 +61,19 @@ from .channels import (
     pauli_basis,
     probability_operator,
 )
-from .errors import DegenerateFitError, RepresentationError, SingularSystemError
+from .errors import (
+    DataError,
+    DegenerateFitError,
+    RepresentationError,
+    SingularSystemError,
+)
 from .optimize import minimize_adaptive
-from .states import kets_for
+from .states import kets_for, state_density
 from .tomography import (
     CountTable,
     _hermitian_basis,
+    analyzer_dual_frame,
     measurement_design,
-    reconstruct_linear,
 )
 
 
@@ -148,24 +154,30 @@ class _FitPlan:
 
     design maps frame coordinates to detection probabilities (unit
     exposure); seed_map is its pseudo-inverse, which turns rates into the
-    least-squares chi, or None when the protocol does not determine chi.
+    least-squares chi; output_traces, the traces of the analyzers' dual
+    frame, turns rates into output-state traces.  Both are None when the
+    protocol does not determine chi.
     """
 
     frame: np.ndarray
     design: np.ndarray
     tp_equations: tuple[np.ndarray, np.ndarray]
     seed_map: np.ndarray | None
+    output_traces: np.ndarray | None
 
 
 def _build_plan(basis: OperatorBasis, in_labels, an_labels) -> _FitPlan:
     frame = hermitian_frame(basis.size)
     design = measurement_design(basis, kets_for(in_labels), kets_for(an_labels))
     design = (design @ frame.T).real
-    complete = np.linalg.matrix_rank(design, tol=1e-10) == frame.shape[0]
-    seed_map = np.linalg.pinv(design) if complete else None
-    plan = _FitPlan(frame, design, _tp_equations(basis, frame), seed_map)
+    seed_map = output_traces = None
+    if np.linalg.matrix_rank(design, tol=1e-10) == frame.shape[0]:
+        seed_map = np.linalg.pinv(design)
+        dual = analyzer_dual_frame(np.array([state_density(lab) for lab in an_labels]))
+        output_traces = np.trace(dual, axis1=1, axis2=2).real
+    plan = _FitPlan(frame, design, _tp_equations(basis, frame), seed_map, output_traces)
     # cached plans are shared by every fit of the protocol
-    for arr in (frame, design, *plan.tp_equations, seed_map):
+    for arr in (frame, design, *plan.tp_equations, seed_map, output_traces):
         if arr is not None:
             arr.flags.writeable = False
     return plan
@@ -178,8 +190,7 @@ def _named_plan(label: str, dim: int, in_labels: tuple, an_labels: tuple) -> _Fi
 
 
 def _plan_for(basis: OperatorBasis, in_labels: tuple, an_labels: tuple) -> _FitPlan:
-    """The fit plan of a protocol, cached for the named bases as
-    tomography.tau_for_basis caches tau."""
+    """The fit plan of a protocol, cached for the named bases."""
     if basis.label in ("pauli", "elementary-scaled"):
         return _named_plan(basis.label, basis.dim, in_labels, an_labels)
     return _build_plan(basis, in_labels, an_labels)
@@ -287,21 +298,35 @@ def _tp_equations(basis: OperatorBasis, frame: np.ndarray):
     return e_mat, e_rhs
 
 
-def _solve(counts, basis, opts, inputs, analyzers, tp: bool):
-    misfit = _Misfit(counts, basis, inputs, analyzers, opts.weight_mode)
+def _least_squares(misfit: _Misfit, counts: CountTable, post_select=False):
+    """Frame coordinates of the least-squares chi of the rates; with
+    post_select, each input's rates are first divided by its output trace."""
     plan = misfit.plan
     if plan.seed_map is None:
         raise SingularSystemError(
             "the protocol's inputs and analyzers do not determine chi"
         )
+    rates = counts.counts / counts.exposure
+    if post_select:
+        traces = rates @ plan.output_traces
+        zero = np.abs(traces) < 1e-12
+        if zero.any():
+            lab = counts.inputs[np.argmax(zero)]
+            raise DataError(f"output of input {lab!r} has zero trace; cannot normalize")
+        rates = rates / traces[:, None]
+    return plan.seed_map @ rates.reshape(-1)
+
+
+def _solve(counts, basis, opts, inputs, analyzers, tp: bool):
+    misfit = _Misfit(counts, basis, inputs, analyzers, opts.weight_mode)
     # the solver starts from the projection of x0, the least-squares chi,
     # onto the cone
     res = minimize_adaptive(
         misfit,
-        plan.seed_map @ (counts.counts.reshape(-1) / counts.exposure),
+        _least_squares(misfit, counts),
         misfit.hessian,
         misfit.project,
-        equations=plan.tp_equations if tp else None,
+        equations=misfit.plan.tp_equations if tp else None,
         xtol=opts.xtol,
         maxfev=opts.maxfev,
     )
@@ -389,6 +414,24 @@ def fit_trace_preserving(
     )
 
 
+def _fit_linear(counts, basis, opts, post_select: bool) -> FitReport:
+    misfit = _Misfit(counts, basis, None, None, opts.weight_mode)
+    x = _least_squares(misfit, counts, post_select)
+    chi = ChiMatrix(misfit.basis, misfit.matrix(x))
+    return FitReport(
+        chi=chi,
+        objective=misfit(x)[0],
+        iterations=0,
+        evaluations=0,
+        restarts_used=0,
+        normalization_scale=1.0,
+        seed=opts.seed,
+        min_chi_eigenvalue=chi.min_eigenvalue(),
+        psd_ok=chi.is_psd(),
+        method="post-selected" if post_select else "linear",
+    )
+
+
 def fit_linear(
     counts: CountTable,
     basis: OperatorBasis | None = None,
@@ -397,23 +440,7 @@ def fit_linear(
     """Plain linear inversion packaged as a report (no optimizer, no
     rescaling).  Exact on noiseless data; indefinite results are flagged,
     never repaired."""
-    if basis is None:
-        if counts.dim != 2:
-            raise RepresentationError("a basis must be given for d != 2")
-        basis = pauli_basis()
-    res = reconstruct_linear(counts, basis)
-    return FitReport(
-        chi=res.chi,
-        objective=res.lambda_residual,
-        iterations=0,
-        evaluations=0,
-        restarts_used=0,
-        normalization_scale=1.0,
-        seed=opts.seed,
-        min_chi_eigenvalue=res.min_eigenvalue,
-        psd_ok=res.psd_ok,
-        method="linear",
-    )
+    return _fit_linear(counts, basis, opts, post_select=False)
 
 
 def fit_post_selected(
@@ -428,20 +455,4 @@ def fit_post_selected(
     inversion relies on: the result depends on which inputs were prepared
     and may be indefinite, which psd_ok / min_chi_eigenvalue expose.
     """
-    if basis is None:
-        if counts.dim != 2:
-            raise RepresentationError("a basis must be given for d != 2")
-        basis = pauli_basis()
-    res = reconstruct_linear(counts, basis, normalize_outputs=True)
-    return FitReport(
-        chi=res.chi,
-        objective=res.lambda_residual,
-        iterations=0,
-        evaluations=0,
-        restarts_used=0,
-        normalization_scale=1.0,
-        seed=opts.seed,
-        min_chi_eigenvalue=res.min_eigenvalue,
-        psd_ok=res.psd_ok,
-        method="post-selected",
-    )
+    return _fit_linear(counts, basis, opts, post_select=True)

@@ -38,7 +38,7 @@ def complex_matrix_from_json(data, what: str = "matrix") -> np.ndarray:
         arr = np.array(
             [[complex(re, im) for re, im in row] for row in data], dtype=complex
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed {what}: {exc}") from None
     return arr
 
@@ -77,13 +77,17 @@ def chi_to_dict(chi: ChiMatrix) -> dict:
 def chi_from_dict(doc: dict) -> ChiMatrix:
     _check_kind(doc, "chi_matrix")
     try:
-        dim = int(doc["dim"])
-        basis = basis_from_label(doc["basis"], dim)
+        dim, label = doc["dim"], doc["basis"]
         mat = complex_matrix_from_json(doc["mat"], "chi matrix")
     except KeyError as exc:
         raise DataError(f"chi file missing field {exc}") from None
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 2:
+        raise DataError(f"chi dim must be an integer of at least 2, got {dim!r}")
+    # checked before the basis is built, so that dim stays bounded by the file
+    if mat.shape != (dim**2, dim**2) or not np.all(np.isfinite(mat)):
+        raise DataError(f"dim {dim} needs a finite {dim**2}x{dim**2} chi matrix")
     try:
-        return ChiMatrix(basis, mat)
+        return ChiMatrix(basis_from_label(label, dim), mat)
     except Exception as exc:
         raise DataError(f"invalid chi matrix: {exc}") from None
 
@@ -119,7 +123,7 @@ def count_table_from_dict(doc: dict) -> CountTable:
         )
     except KeyError as exc:
         raise DataError(f"count table missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed count table: {exc}") from None
 
 

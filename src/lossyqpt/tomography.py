@@ -1,6 +1,8 @@
-"""Linear-inversion process tomography.
+"""Count tables, the forward model and the reference linear inversion.
 
-The algebraic route from count data to a chi matrix:
+The beta/tau chain is the reference route from count data to a chi
+matrix; the linear fits in mle compute the same chi from the
+pseudo-inverse of measurement_design, and the tests compare the two:
 
   1. state_tomography turns the per-input analyzer counts into an
      unnormalized output density matrix whose trace estimates the success
@@ -12,18 +14,17 @@ The algebraic route from count data to a chi matrix:
 
 On noiseless data this chain is exact.  On noisy data the resulting chi
 may be indefinite; it is returned unclamped, with the minimum eigenvalue
-reported, because downstream fits want the raw noise structure.
+reported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import states as pol
-from .channels import ChiMatrix, OperatorBasis, elementary_basis, pauli_basis
+from .channels import ChiMatrix, OperatorBasis
 from .errors import DataError, RepresentationError, SingularSystemError
 
 _COND_LIMIT = 1e6
@@ -324,7 +325,6 @@ class LinearInversionResult:
     chi: ChiMatrix
     min_eigenvalue: float
     psd_ok: bool
-    lambda_residual: float
 
 
 def linear_inversion(lam: LambdaMatrix, tau: TauTensor) -> LinearInversionResult:
@@ -338,24 +338,7 @@ def linear_inversion(lam: LambdaMatrix, tau: TauTensor) -> LinearInversionResult
     mat = chi_vec.reshape(n, n)
     mat = 0.5 * (mat + mat.conj().T)
     chi = ChiMatrix(tau.basis, mat)
-    min_eig = chi.min_eigenvalue()
-    w_max = float(np.linalg.norm(mat, 2))
-    psd_ok = min_eig >= -1e-10 * max(1.0, w_max)
-    return LinearInversionResult(chi, min_eig, psd_ok, lam.residual)
-
-
-@lru_cache(maxsize=8)
-def _named_tau(label: str, d: int) -> TauTensor:
-    basis = pauli_basis() if label == "pauli" else elementary_basis(d)
-    return invert_beta(build_beta(basis, canonical_state_basis(d)))
-
-
-def tau_for_basis(basis: OperatorBasis) -> TauTensor:
-    """The generalized inverse for (basis, canonical units), cached for
-    the named bases; safe for concurrent reads once built."""
-    if basis.label in ("pauli", "elementary-scaled"):
-        return _named_tau(basis.label, basis.dim)
-    return invert_beta(build_beta(basis, canonical_state_basis(basis.dim)))
+    return LinearInversionResult(chi, chi.min_eigenvalue(), chi.is_psd())
 
 
 def reconstruct_linear(
@@ -386,4 +369,4 @@ def reconstruct_linear(
             rho = rho / tr
         outputs.append(rho)
     lam = lambda_from_outputs(np.array(outputs), inputs, state_basis)
-    return linear_inversion(lam, tau_for_basis(basis))
+    return linear_inversion(lam, invert_beta(build_beta(basis, state_basis)))

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -326,6 +327,80 @@ class TestCountTableFuzz:
             assert not os.path.exists(out)
 
 
+def _valid_chi_doc():
+    return serialize.chi_to_dict(ppbs_chi(PpbsParams.from_gamma(0.5)))
+
+
+@st.composite
+def malformed_chi_docs(draw):
+    """(chi document, command reading it) that must fail cleanly."""
+    doc = _valid_chi_doc()
+    command = draw(st.sampled_from(["analyze-p", "reconstruct"]))
+    i, j = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2, unique=True))
+    defect = draw(st.sampled_from(
+        ["dim", "basis", "entry", "hermitian", "ragged", "mat", "kind", "schema",
+         "missing"]))
+    if defect == "dim":
+        doc["dim"] = draw(st.one_of(
+            st.integers().filter(lambda d: d != 2), st.floats(), st.booleans(),
+            st.text(max_size=2), st.none(), st.lists(st.integers(), max_size=2)))
+    elif defect == "basis":
+        doc["basis"] = draw(st.one_of(
+            st.text(max_size=12).filter(
+                lambda b: b not in ("pauli", "elementary-scaled")),
+            st.integers(), st.none()))
+    elif defect == "entry":
+        doc["mat"][i][j] = draw(st.one_of(
+            st.sampled_from([[math.nan, 0.0], [0.0, math.inf], [-math.inf, 1.0],
+                             [10**400, 0.0]]),
+            st.none(), st.text(max_size=2),
+            st.lists(st.floats(-1.0, 1.0), max_size=3).filter(lambda v: len(v) != 2)))
+    elif defect == "hermitian":
+        real, imag = doc["mat"][i][j]
+        doc["mat"][i][j] = [real + draw(st.floats(1e-3, 10.0)), imag]
+    elif defect == "ragged":
+        doc["mat"][i] = doc["mat"][i][:j]
+    elif defect == "mat":
+        k = draw(st.sampled_from([0, 1, 2, 3, 5, 9]))
+        doc["mat"] = draw(st.one_of(
+            st.just([[[0.0, 0.0]] * k for _ in range(k)]),
+            st.none(), st.integers(), st.text(max_size=3)))
+    elif defect == "kind":
+        doc["kind"] = draw(st.one_of(
+            st.text(max_size=12).filter(lambda k: k != "chi_matrix"), st.none()))
+    elif defect == "schema":
+        doc["schema"] = draw(st.one_of(
+            st.integers().filter(lambda v: v != 1), st.text(max_size=2), st.none()))
+    else:
+        del doc[draw(st.sampled_from(["dim", "basis", "mat"]))]
+    return doc, command
+
+
+class TestChiFileFuzz:
+    @settings(deadline=None, max_examples=150)
+    @given(malformed_chi_docs())
+    def test_malformed_chi_exits_cleanly(self, case):
+        doc, command = case
+        with tempfile.TemporaryDirectory() as tmp:
+            chi, counts, out = (os.path.join(tmp, name)
+                                for name in ("chi.json", "counts.json", "fit.json"))
+            with open(chi, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            serialize.write_json(counts, _valid_count_doc())
+            if command == "analyze-p":
+                argv = ["analyze-p", "--chi", chi]
+            else:
+                argv = ["reconstruct", "--counts", counts, "--method", "linear",
+                        "--reference", chi, "--out", out]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run(*argv)
+            assert code in (3, 4)
+            assert err.getvalue().startswith("error: ")
+            assert "Traceback" not in err.getvalue()
+            assert not os.path.exists(out)
+
+
 class TestSweepCommand:
     def test_csv_structure(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -366,11 +441,20 @@ class TestSweepCommand:
         assert rows == from_flags.read_text().splitlines()[1:]
 
     def test_gamma_range_form(self, tmp_path):
+        # every cell but the method name reads back as a number, under both
+        # ways of giving the gammas
         out = tmp_path / "sweep.csv"
-        assert run("sweep", "--gamma-range", "0.2:1.0:5", "--methods", "linear",
-                   "--noise", "none", "--out", str(out)) == 0
-        rows = out.read_text().splitlines()[2:]
-        assert len(rows) == 5
+        for flag, value, gammas in (
+            ("--gamma-range", "0.2:1.0:5", np.linspace(0.2, 1.0, 5)),
+            ("--gammas", "0.5,1.0", [0.5, 1.0]),
+        ):
+            assert run("sweep", flag, value, "--methods", "linear,post-selected",
+                       "--noise", "none", "--out", str(out)) == 0
+            rows = list(csv.reader(out.read_text().splitlines()[2:]))
+            assert len(rows) == 2 * len(gammas)
+            for row in rows:
+                assert all(math.isfinite(float(c)) for k, c in enumerate(row) if k != 1)
+            assert [float(r[0]) for r in rows[::2]] == pytest.approx(list(gammas))
 
 
 class TestAnalyzeP:

@@ -153,6 +153,19 @@ class TestLikelihood:
         third = f[3] - 3 * f[2] + 3 * f[1] - f[0]
         assert abs(third) <= 1e-9 * max(f)
 
+    @pytest.mark.parametrize("weight_mode", ["floor", "drop"])
+    @pytest.mark.parametrize("fit", [fit_linear, fit_unconstrained,
+                                     fit_trace_preserving, fit_post_selected])
+    def test_report_objective_is_misfit(self, fit, weight_mode):
+        # every method reports the misfit of its chi before any rescaling;
+        # at gamma = 0.1 the table has dark cells, so the two modes differ
+        table = table_for(0.1, seed=19)
+        opts = FitOptions(weight_mode=weight_mode)
+        report = fit(table, opts=opts)
+        raw = report.chi.scaled(report.normalization_scale)
+        f = likelihood(raw, table, weight_mode=weight_mode)
+        assert report.objective == pytest.approx(f, rel=1e-9)
+
 
 class TestFitUnconstrained:
     def test_noiseless_matches_reference(self):
@@ -428,13 +441,21 @@ class TestLeastSquaresSeed:
         chi = (plan.frame.T @ x).reshape(4, 4)
         linear = reconstruct_linear(table, basis).chi.mat
         assert np.abs(chi - linear).max() <= 1e-10 * max(1.0, np.abs(linear).max())
+        # the linear fits take the same map, the post-selected one after
+        # normalizing each output state
+        for fit, normalize in ((fit_linear, False), (fit_post_selected, True)):
+            reference = reconstruct_linear(table, basis, normalize_outputs=normalize)
+            got = fit(table, basis).chi.mat
+            scale = max(1.0, np.abs(reference.chi.mat).max())
+            assert np.abs(got - reference.chi.mat).max() <= 1e-10 * scale
 
     @pytest.mark.parametrize("protocol", [
         {"inputs": ("H", "V", "D")},
         {"inputs": ("H", "V", "D", "A")},
         {"analyzers": ("H", "V", "D", "A")},
     ])
-    @pytest.mark.parametrize("fit", [fit_unconstrained, fit_trace_preserving])
+    @pytest.mark.parametrize("fit", [fit_unconstrained, fit_trace_preserving,
+                                     fit_linear, fit_post_selected])
     def test_incomplete_protocol_is_singular(self, protocol, fit):
         cfg = SimConfig(PpbsParams.from_gamma(0.5), seed=3, **protocol)
         with pytest.raises(SingularSystemError):

@@ -16,7 +16,6 @@ from lossyqpt.tomography import (
     linear_inversion,
     reconstruct_linear,
     state_tomography,
-    tau_for_basis,
 )
 
 PB = pauli_basis()
@@ -121,9 +120,6 @@ class TestBetaTau:
         with pytest.raises(SingularSystemError):
             invert_beta(BetaTensor(PB, UNITS, mat))
 
-    def test_named_tau_cache(self):
-        assert tau_for_basis(PB) is tau_for_basis(pauli_basis())
-
 
 class TestStateTomography:
     def test_noiseless_lossy_h(self):
@@ -196,7 +192,7 @@ class TestLinearInversion:
     def test_identity_lambda(self):
         from lossyqpt.tomography import LambdaMatrix
 
-        tau = tau_for_basis(PB)
+        tau = invert_beta(build_beta(PB, UNITS))
         lam = LambdaMatrix(UNITS, np.eye(4, dtype=complex))
         res = linear_inversion(lam, tau)
         assert np.abs(res.chi.mat - np.diag([1.0, 0, 0, 0])).max() < 1e-12
