@@ -13,6 +13,17 @@ that a result can always be traced to the exact invocation, while the
 data files themselves stay byte-identical across reruns with the same
 seed.  Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical
 failure.
+
+A --config file is a JSON object whose keys are long flag names without
+the dashes ("gamma", "t-h", "weight-mode").  Each entry is parsed as the
+token --key=value, placed right after the subcommand, so a flag on the
+command line wins and a key the subcommand has no flag for, such as
+"weight_mode", is an unrecognized argument (a unique prefix of a flag
+name works, as it does on the command line).  Values are strings or
+numbers, converted and checked like the flag's own text; null leaves the
+flag unset.  Only "gammas" and "methods" take a JSON list, whose items
+are joined with commas.  Booleans, objects and other lists exit 2.  The
+file flags --out, --counts and --chi must be given on the command line.
 """
 
 from __future__ import annotations
@@ -68,48 +79,26 @@ class UsageError(Exception):
     """Bad flag values; maps to exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError on a parse error, so that main reports it as
+    `error: ...` with exit code 2 like any other bad flag value."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _default_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get(SEED_ENV_VAR, "0")
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
-    return 0
-
-
-def _load_config(args):
-    if getattr(args, "config", None) is None:
-        return {}
-    doc = serialize.read_json(args.config)
-    if not isinstance(doc, dict):
-        raise DataError(f"config file {args.config} must hold a JSON object")
-    return doc
-
-
-def _resolve(args, config, name, default=None):
-    """Flag value if given, else config entry, else default."""
-    value = getattr(args, name.replace("-", "_"), None)
-    if value is not None:
-        return value
-    if name in config:
-        return config[name]
-    return default
-
-
-def _resolve_number(args, config, name, kind, default=None):
-    """_resolve converted by kind (int or float); a value that does not
-    convert, typically a string from --config, is a usage error."""
-    value = _resolve(args, config, name, default)
-    if value is None:
-        return None
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        what = "an integer" if kind is int else "a number"
-        raise UsageError(f"--{name} must be {what}, got {value!r}") from None
+    if seed < 0:
+        # numpy seeds only from non-negative integers
+        raise UsageError(f"the seed must be non-negative, got {seed}")
+    return seed
 
 
 def _write_manifest(out_path: str, command: str, config: dict, seed, outputs,
@@ -130,10 +119,32 @@ def _write_manifest(out_path: str, command: str, config: dict, seed, outputs,
     return os.path.basename(path)
 
 
-def _ppbs_params(args, config) -> PpbsParams:
-    gamma = _resolve_number(args, config, "gamma", float)
-    t_h = _resolve_number(args, config, "t-h", float)
-    t_v = _resolve_number(args, config, "t-v", float)
+# config keys whose JSON list value stands for a comma-separated flag
+_LIST_KEYS = ("gammas", "methods")
+
+
+def _config_tokens(path: str) -> list:
+    """The entries of a --config file as --key=value flag tokens."""
+    doc = serialize.read_json(path)
+    if not isinstance(doc, dict):
+        raise DataError(f"config file {path} must hold a JSON object")
+    tokens = []
+    for key, value in doc.items():
+        if value is None:
+            continue
+        items = value if key in _LIST_KEYS and isinstance(value, list) else [value]
+        if not all(isinstance(v, (str, int, float)) and not isinstance(v, bool)
+                   for v in items):
+            kinds = "a string or a number"
+            if key in _LIST_KEYS:
+                kinds += ", or a list of them"
+            raise UsageError(f"config entry {key!r} must be {kinds}, got {value!r}")
+        tokens.append(f"--{key}=" + ",".join(map(str, items)))
+    return tokens
+
+
+def _ppbs_params(args) -> PpbsParams:
+    gamma, t_h, t_v = args.gamma, args.t_h, args.t_v
     if gamma is not None:
         if t_h is not None or t_v is not None:
             raise UsageError("--gamma and --t-h/--t-v are mutually exclusive")
@@ -149,26 +160,23 @@ def _ppbs_params(args, config) -> PpbsParams:
         raise UsageError(str(exc)) from None
 
 
-def _sim_config(params, exposure, seed, noise) -> SimConfig:
+def _sim_config(args, params, seed) -> SimConfig:
     """SimConfig from flag values; values it rejects are usage errors."""
     try:
-        return SimConfig(params, exposure=exposure, seed=seed, noise=noise)
+        return SimConfig(params, exposure=args.exposure, seed=seed, noise=args.noise)
     except DataError as exc:
         raise UsageError(str(exc)) from None
 
 
 def cmd_simulate(args) -> int:
-    config = _load_config(args)
-    params = _ppbs_params(args, config)
+    params = _ppbs_params(args)
     seed = _default_seed(args)
-    exposure = _resolve_number(args, config, "exposure", float, 1e4)
-    noise = _resolve(args, config, "noise", "poisson")
-    table = simulate_counts(_sim_config(params, exposure, seed, noise))
+    table = simulate_counts(_sim_config(args, params, seed))
     resolved = {
         "t_h": params.t_h,
         "t_v": params.t_v,
-        "exposure": exposure,
-        "noise": noise,
+        "exposure": args.exposure,
+        "noise": args.noise,
     }
     manifest = _write_manifest(args.out, "simulate", resolved, seed, [args.out])
     doc = serialize.count_table_to_dict(table)
@@ -177,16 +185,16 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _fit_options(args, config, seed) -> FitOptions:
+def _fit_options(args, seed) -> FitOptions:
     try:
         return FitOptions(
-            restarts=_resolve_number(args, config, "restarts", int, 4),
-            maxfev=_resolve_number(args, config, "maxfev", int, 50_000),
-            xtol=_resolve_number(args, config, "xtol", float, 1e-9),
+            restarts=args.restarts,
+            maxfev=args.maxfev,
+            xtol=args.xtol,
             seed=seed,
-            weight_mode=_resolve(args, config, "weight-mode", "floor"),
+            weight_mode=args.weight_mode,
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(f"bad fit option: {exc}") from None
 
 
@@ -217,26 +225,19 @@ def _report_dict(report, reference=None):
 
 
 def cmd_reconstruct(args) -> int:
-    config = _load_config(args)
     seed = _default_seed(args)
-    method = _resolve(args, config, "method", "mle")
-    if not isinstance(method, str) or method not in _METHODS:
-        raise UsageError(
-            f"unknown method {method!r}; choose from {sorted(_METHODS)}"
-        )
     table = serialize.count_table_from_dict(serialize.read_json(args.counts))
-    opts = _fit_options(args, config, seed)
+    opts = _fit_options(args, seed)
     reference = None
-    ref_path = _resolve(args, config, "reference")
-    if ref_path is not None:
-        reference = serialize.chi_from_dict(serialize.read_json(ref_path))
-    report = _METHODS[method](table, opts=opts)
+    if args.reference is not None:
+        reference = serialize.chi_from_dict(serialize.read_json(args.reference))
+    report = _METHODS[args.method](table, opts=opts)
     doc = _report_dict(report, reference)
-    in_files = [args.counts] + ([ref_path] if ref_path else [])
+    in_files = [args.counts] + ([args.reference] if args.reference else [])
     manifest = _write_manifest(
         args.out,
         "reconstruct",
-        {"method": method, "restarts": opts.restarts, "maxfev": opts.maxfev,
+        {"method": args.method, "restarts": opts.restarts, "maxfev": opts.maxfev,
          "xtol": opts.xtol, "weight_mode": opts.weight_mode},
         seed,
         [args.out],
@@ -247,27 +248,23 @@ def cmd_reconstruct(args) -> int:
     return 0
 
 
-def _list_items(value):
-    """Items of a JSON list from --config, or the non-empty comma-separated
-    tokens of a flag or config string."""
-    if isinstance(value, list):
-        return value
-    return [tok for tok in str(value).split(",") if tok.strip()]
+def _list_items(value: str) -> list:
+    """The non-empty comma-separated tokens of a flag value."""
+    return [tok.strip() for tok in value.split(",") if tok.strip()]
 
 
-def _parse_gammas(args, config):
-    gammas = _resolve(args, config, "gammas")
-    grange = _resolve(args, config, "gamma-range")
+def _parse_gammas(args):
+    gammas, grange = args.gammas, args.gamma_range
     if (gammas is None) == (grange is None):
         raise UsageError("need exactly one of --gammas or --gamma-range")
     if gammas is not None:
         try:
             values = [float(tok) for tok in _list_items(gammas)]
-        except (TypeError, ValueError):
+        except ValueError:
             raise UsageError(f"cannot parse --gammas {gammas!r}") from None
     else:
         try:
-            lo, hi, count = str(grange).split(":")
+            lo, hi, count = grange.split(":")
             values = np.linspace(float(lo), float(hi), int(count)).tolist()
         except ValueError:
             raise UsageError(
@@ -282,31 +279,24 @@ def _parse_gammas(args, config):
 
 
 def cmd_sweep(args) -> int:
-    config = _load_config(args)
     seed = _default_seed(args)
-    gammas = _parse_gammas(args, config)
-    methods = _list_items(_resolve(args, config, "methods", "mle"))
-    if not all(isinstance(m, str) for m in methods):
-        raise UsageError(f"--methods must be method names, got {methods!r}")
-    methods = [m.strip() for m in methods if m.strip()]
+    gammas = _parse_gammas(args)
+    methods = _list_items(args.methods)
     if not methods:
         raise UsageError("empty method set")
     for m in methods:
         if m not in _METHODS:
             raise UsageError(f"unknown method {m!r}; choose from {sorted(_METHODS)}")
-    repeats = _resolve_number(args, config, "repeats", int, 1)
-    if repeats < 1:
+    if args.repeats < 1:
         raise UsageError("--repeats must be at least 1")
-    exposure = _resolve_number(args, config, "exposure", float, 1e4)
-    noise = _resolve(args, config, "noise", "poisson")
 
     rows = []
     for gi, gamma in enumerate(gammas):
         params = PpbsParams.from_gamma(gamma)
         reference = ppbs_chi(params)
-        for rep in range(repeats):
+        for rep in range(args.repeats):
             run_seed = derive_seed(seed, gi, rep)
-            table = simulate_counts(_sim_config(params, exposure, run_seed, noise))
+            table = simulate_counts(_sim_config(args, params, run_seed))
             for method in methods:
                 opts = FitOptions(seed=run_seed)
                 report = _METHODS[method](table, opts=opts)
@@ -331,9 +321,9 @@ def cmd_sweep(args) -> int:
         {
             "gammas": gammas,
             "methods": methods,
-            "repeats": repeats,
-            "exposure": exposure,
-            "noise": noise,
+            "repeats": args.repeats,
+            "exposure": args.exposure,
+            "noise": args.noise,
         },
         seed,
         [args.out],
@@ -348,19 +338,16 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_analyze_p(args) -> int:
-    config = _load_config(args)
     chi = serialize.chi_from_dict(serialize.read_json(args.chi))
-    policy = _resolve(args, config, "on-unphysical", "warn")
     p = probability_operator(chi)
     pmax = float(p.eigenvalues[-1])
     excess = pmax - 1.0
     if excess > 1e-9:
         message = f"max P eigenvalue exceeds 1 by {excess:.3e}"
-        if policy == "fail" or excess > 1e-3:
+        if args.on_unphysical == "fail" or excess > 1e-3:
             raise NotPsdError(message, eigenvalue=pmax)
         print(f"warning: {message}", file=sys.stderr)
 
-    np.set_printoptions(precision=6, suppress=True)
     print("P matrix:")
     print(np.array2string(p.mat, precision=6, suppress_small=True))
     print(f"eigenvalues: {[float(x) for x in p.eigenvalues]}")
@@ -380,7 +367,9 @@ def cmd_analyze_p(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The one declaration of every option: its type, choices and default,
+    for flags and --config entries alike."""
+    parser = _Parser(
         prog="lossyqpt",
         description="Process tomography of lossy polarization channels.",
     )
@@ -388,64 +377,72 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file; flags take precedence")
+    common.add_argument("--config",
+                        help="JSON object of long flag names; flags take precedence")
     common.add_argument("--seed", type=int, default=None,
                         help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")
 
-    p = sub.add_parser("simulate", parents=[common],
+    acquisition = argparse.ArgumentParser(add_help=False)
+    acquisition.add_argument("--exposure", type=float, default=SimConfig.exposure,
+                             help="expected pairs per setting (default %(default)g)")
+    acquisition.add_argument("--noise", choices=["poisson", "none"],
+                             default=SimConfig.noise)
+
+    p = sub.add_parser("simulate", parents=[common, acquisition],
                        help="generate a count table for the lossy device")
     p.add_argument("--gamma", type=float, default=None,
                    help="transmittivity ratio; implies t_h=1, t_v=gamma")
     p.add_argument("--t-h", type=float, default=None)
     p.add_argument("--t-v", type=float, default=None)
-    p.add_argument("--exposure", type=float, default=None,
-                   help="expected pairs per input setting (default 1e4)")
-    p.add_argument("--noise", choices=["poisson", "none"], default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("reconstruct", parents=[common],
                        help="fit a process matrix from a count table")
     p.add_argument("--counts", required=True)
-    p.add_argument("--method", choices=sorted(_METHODS), default=None)
+    p.add_argument("--method", choices=sorted(_METHODS), default="mle")
     p.add_argument("--reference", default=None,
                    help="chi JSON file to compute a fidelity against")
-    p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--maxfev", type=int, default=None)
-    p.add_argument("--xtol", type=float, default=None)
-    p.add_argument("--weight-mode", choices=["floor", "drop"], default=None)
+    p.add_argument("--restarts", type=int, default=FitOptions.restarts)
+    p.add_argument("--maxfev", type=int, default=FitOptions.maxfev)
+    p.add_argument("--xtol", type=float, default=FitOptions.xtol)
+    # FitOptions checks the value, so its message names weight_mode
+    p.add_argument("--weight-mode", default=FitOptions.weight_mode,
+                   help="floor or drop (default %(default)s)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_reconstruct)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[common, acquisition],
                        help="scan the transmittivity ratio, write a CSV series")
     p.add_argument("--gammas", default=None, help="comma-separated ratios")
     p.add_argument("--gamma-range", default=None, help="start:stop:count")
-    p.add_argument("--methods", default=None,
+    p.add_argument("--methods", default="mle",
                    help=f"comma-separated subset of {sorted(_METHODS)}")
-    p.add_argument("--repeats", type=int, default=None)
-    p.add_argument("--exposure", type=float, default=None)
-    p.add_argument("--noise", choices=["poisson", "none"], default=None)
+    p.add_argument("--repeats", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("analyze-p", parents=[common],
                        help="report the success-probability operator of a chi file")
     p.add_argument("--chi", required=True)
-    p.add_argument("--on-unphysical", choices=["warn", "fail"], default=None)
+    p.add_argument("--on-unphysical", choices=["warn", "fail"], default="warn")
     p.set_defaults(func=cmd_analyze_p)
 
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        if args.config is not None:
+            # the file's entries go right after the command, so flags win
+            i = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:i] + _config_tokens(args.config) + argv[i:])
         return args.func(args)
+    except SystemExit as exc:  # --help and --version
+        return exc.code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -63,6 +63,11 @@ class PpbsParams:
         return cls(1.0, gamma)
 
 
+# numpy's Poisson sampler rejects means above ~9.2e18; a physical cell's
+# mean is at most the exposure
+_POISSON_MAX_EXPOSURE = 1e18
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One simulated acquisition of the six-in six-out protocol (or of the
@@ -86,6 +91,11 @@ class SimConfig:
             )
         if self.noise not in ("poisson", "none"):
             raise DataError(f"noise must be 'poisson' or 'none', got {self.noise!r}")
+        if self.noise == "poisson" and self.exposure > _POISSON_MAX_EXPOSURE:
+            raise DataError(
+                f"Poisson noise needs exposure at most {_POISSON_MAX_EXPOSURE:g}, "
+                f"got {self.exposure}"
+            )
         object.__setattr__(self, "inputs", tuple(self.inputs))
         object.__setattr__(self, "analyzers", tuple(self.analyzers))
 

@@ -205,6 +205,13 @@ class TestBadValues:
         ("sweep", {"methods": ["linear", 3]}, ("--gammas", "0.5")),
         ("sweep", {"methods": ["bogus"]}, ("--gammas", "0.5")),
         ("sweep", {"methods": []}, ("--gammas", "0.5")),
+        ("reconstruct", {"reference": True}, ("--counts", "counts.json")),
+        ("reconstruct", {"reference": ["a"]}, ("--counts", "counts.json")),
+        ("reconstruct", {"weight_mode": "drop"}, ("--counts", "counts.json")),
+        ("simulate", {"gamma": True}, ()),
+        ("simulate", {"exposure": 1e19}, ("--gamma", "0.5")),
+        ("simulate", {"seed": -1}, ("--gamma", "0.5")),
+        ("sweep", {}, ("--gammas", "0.5", "--methods", "linear", "--seed", "-1")),
     ])
     def test_usage_error(self, tmp_path, capsys, command, config, flags):
         cfg = tmp_path / "cfg.json"
@@ -376,6 +383,129 @@ def malformed_chi_docs(draw):
     return doc, command
 
 
+@contextlib.contextmanager
+def _empty_stdin():
+    """File descriptor 0 reads as empty, so no command can block on it."""
+    saved = os.dup(0)
+    try:
+        with open(os.devnull, encoding="utf-8") as null:
+            os.dup2(null.fileno(), 0)
+        yield
+    finally:
+        os.dup2(saved, 0)
+        os.close(saved)
+
+
+class TestConfigFile:
+    def test_number_is_a_file_name(self, tmp_path, monkeypatch):
+        # {"reference": 0} names the file "0", as --reference 0 does
+        monkeypatch.chdir(tmp_path)
+        run("simulate", "--gamma", "0.5", "--noise", "none", "--out", "counts.json")
+        write_reference(tmp_path / "0", 0.5)
+        (tmp_path / "cfg.json").write_text(json.dumps({"reference": 0}))
+        with _empty_stdin():
+            code = run("reconstruct", "--counts", "counts.json", "--method", "linear",
+                       "--config", "cfg.json", "--out", "fit.json")
+        assert code == 0
+        doc = json.loads((tmp_path / "fit.json").read_text())
+        assert doc["fidelity_vs_reference"] == pytest.approx(1.0, abs=1e-8)
+
+    def test_seed_matches_flag(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma": 0.5, "seed": 5}))
+        paths = [tmp_path / f"{name}.json" for name in ("config", "flag", "zero")]
+        assert run("simulate", "--config", str(cfg), "--out", str(paths[0])) == 0
+        assert run("simulate", "--gamma", "0.5", "--seed", "5",
+                   "--out", str(paths[1])) == 0
+        assert run("simulate", "--gamma", "0.5", "--seed", "0",
+                   "--out", str(paths[2])) == 0
+        config, flag, zero = (json.loads(p.read_text())["counts"] for p in paths)
+        assert config == flag != zero
+
+    def test_bad_choice_is_usage_error(self, tmp_path, capsys):
+        ref = tmp_path / "chi.json"
+        write_reference(ref, 0.3)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"on-unphysical": "panic"}))
+        code = run("analyze-p", "--chi", str(ref), "--config", str(cfg))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert captured.out == ""
+
+
+# per subcommand: each config key with a value of the right kind ("chi.json"
+# stands for a valid chi file), and the command line; its --method(s) and
+# --repeats keep a run short, while the file's entries for them are still
+# parsed and checked
+_CONFIG_COMMANDS = {
+    "simulate": ({"gamma": 0.5, "t-h": 1.0, "t-v": 0.5, "exposure": 400,
+                  "noise": "none", "seed": 5}, []),
+    "reconstruct": ({"method": "mle", "reference": "chi.json", "restarts": 2,
+                     "maxfev": 100, "xtol": 1e-6, "weight-mode": "drop", "seed": 5},
+                    ["--counts", "counts.json", "--method", "linear"]),
+    "sweep": ({"gammas": [0.5, 1.0], "gamma-range": "0.5:1:2", "methods": ["linear"],
+               "repeats": 2, "exposure": 400, "noise": "none", "seed": 5},
+              ["--methods", "linear", "--repeats", "1"]),
+    "analyze-p": ({"on-unphysical": "fail", "seed": 5}, ["--chi", "chi.json"]),
+}
+_UNDERSCORE_KEYS = ["t_h", "t_v", "weight_mode", "gamma_range", "on_unphysical"]
+_json_scalar = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                         st.text(max_size=4))
+_json_value = st.one_of(
+    _json_scalar,
+    st.lists(_json_scalar, max_size=3),
+    st.lists(st.lists(_json_scalar, max_size=2), min_size=1, max_size=2),
+    st.dictionaries(st.text(max_size=3), _json_scalar, max_size=2),
+)
+
+
+@st.composite
+def config_cases(draw):
+    """(subcommand, config object) with known keys holding good or bad
+    values, plus unknown and underscore-spelled keys."""
+    command = draw(st.sampled_from(sorted(_CONFIG_COMMANDS)))
+    known = _CONFIG_COMMANDS[command][0]
+    config = {}
+    for key in draw(st.lists(st.sampled_from(sorted(known)), unique=True)):
+        config[key] = draw(st.one_of(st.just(known[key]), _json_value))
+    for key in draw(st.lists(st.one_of(st.text(max_size=8),
+                                       st.sampled_from(_UNDERSCORE_KEYS)),
+                             max_size=1)):
+        config[key] = draw(_json_value)
+    return command, config
+
+
+class TestConfigFuzz:
+    @settings(deadline=None, max_examples=200)
+    @given(config_cases())
+    def test_config_exits_cleanly(self, case):
+        command, config = case
+        with tempfile.TemporaryDirectory() as tmp:
+            files = {name: os.path.join(tmp, name)
+                     for name in ("chi.json", "counts.json", "cfg.json")}
+            serialize.write_json(files["chi.json"], _valid_chi_doc())
+            serialize.write_json(files["counts.json"], _valid_count_doc())
+            config = {k: files["chi.json"] if v == "chi.json" else v
+                      for k, v in config.items()}
+            with open(files["cfg.json"], "w", encoding="utf-8") as fh:
+                json.dump(config, fh)
+            out = os.path.join(tmp, "out")
+            argv = [command, "--config", files["cfg.json"]]
+            argv += [files.get(a, a) for a in _CONFIG_COMMANDS[command][1]]
+            if command != "analyze-p":
+                argv += ["--out", out]
+            err = io.StringIO()
+            with _empty_stdin(), contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = run(*argv)
+            assert code in (0, 2, 3, 4)
+            assert "Traceback" not in err.getvalue()
+            if code != 0:
+                assert err.getvalue().startswith("error: ")
+                assert not os.path.exists(out)
+
+
 class TestChiFileFuzz:
     @settings(deadline=None, max_examples=150)
     @given(malformed_chi_docs())
@@ -457,7 +587,36 @@ class TestSweepCommand:
             assert [float(r[0]) for r in rows[::2]] == pytest.approx(list(gammas))
 
 
+# analyze-p output for _ODD_CHI, byte for byte: P and the projectors are
+# printed at precision 6 with tiny entries suppressed
+_ODD_CHI_STDOUT = """\
+P matrix:
+[[ 0.364583+0.j -0.      +0.j]
+ [-0.      +0.j  0.197917+0.j]]
+eigenvalues: [0.19791666666666666, 0.3645833333333333]
+eigenstate projectors (ascending eigenvalue):
+[[0.+0.j 0.+0.j]
+ [0.+0.j 1.+0.j]]
+[[1.+0.j 0.+0.j]
+ [0.+0.j 0.+0.j]]
+classification: state-dependent
+Tr[chi] = 0.28125, (1/d) Tr[P] = 0.28125, difference = 0.000e+00
+"""
+_ODD_CHI = np.array([[0.5, 0, 0, 0.125], [0, 0.0625, 0, 0], [0, 0, 0.03125, 0],
+                     [0.125, 0, 0, 0.25]]) / 3
+
+
 class TestAnalyzeP:
+    def test_output_leaves_print_options(self, tmp_path, capsys):
+        path = tmp_path / "chi.json"
+        serialize.write_json(path, serialize.chi_to_dict(
+            ChiMatrix(pauli_basis(), _ODD_CHI.astype(complex))))
+        with np.printoptions(precision=8, suppress=False):
+            before = np.get_printoptions()
+            assert run("analyze-p", "--chi", str(path)) == 0
+            assert np.get_printoptions() == before
+        assert capsys.readouterr().out == _ODD_CHI_STDOUT
+
     def test_classification_output(self, tmp_path, capsys):
         ref = tmp_path / "chi.json"
         write_reference(ref, 0.3)
