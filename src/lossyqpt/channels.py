@@ -16,6 +16,7 @@ means the success probability depends on the input state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -90,7 +91,8 @@ def elementary_basis(d: int) -> OperatorBasis:
 class ChiMatrix:
     """Process matrix chi_mn relative to a declared operator basis.
 
-    The matrix is validated Hermitian at construction.  Positivity is NOT
+    The matrix is validated Hermitian at construction and read-only
+    after it, so its spectrum is computed once.  Positivity is NOT
     enforced here: linear inversion of noisy data legitimately produces
     indefinite matrices and callers decide how to handle them (see
     min_eigenvalue / is_psd).
@@ -107,6 +109,7 @@ class ChiMatrix:
                 f"chi matrix must be {n}x{n} for d={self.basis.dim}, "
                 f"got {m.shape}"
             )
+        m.flags.writeable = False
         object.__setattr__(self, "mat", m)
 
     @property
@@ -116,11 +119,15 @@ class ChiMatrix:
     def trace(self) -> float:
         return float(np.trace(self.mat).real)
 
+    @cached_property
+    def _eigenvalues(self) -> np.ndarray:
+        return qmath.herm_eig(self.mat).eigenvalues
+
     def min_eigenvalue(self) -> float:
-        return float(qmath.herm_eig(self.mat).eigenvalues[0])
+        return float(self._eigenvalues[0])
 
     def is_psd(self, tol: float = qmath.DEFAULT_CLAMP_TOL) -> bool:
-        w = qmath.herm_eig(self.mat).eigenvalues
+        w = self._eigenvalues
         return bool(w[0] >= -tol * max(1.0, float(w[-1])))
 
     def scaled(self, factor: float) -> "ChiMatrix":
@@ -129,15 +136,10 @@ class ChiMatrix:
 
 @dataclass(frozen=True)
 class KrausSet:
-    """Kraus operators {E_i} of a (possibly lossy) channel.
-
-    coeffs, when present, is the matrix a_im expanding E_i = sum_m a_im A_m
-    over the basis the set was derived from.
-    """
+    """Kraus operators {E_i} of a (possibly lossy) channel."""
 
     dim: int
     ops: list
-    coeffs: np.ndarray | None = None
 
     def completeness_defect(self) -> float:
         """Largest eigenvalue of sum E_i^dag E_i - I (<= 0 for physical maps)."""
@@ -200,10 +202,10 @@ def chi_from_kraus(kraus, basis: OperatorBasis) -> ChiMatrix:
     return ChiMatrix(basis, mat)
 
 
-def kraus_from_chi(chi: ChiMatrix, rank_tol: float = 1e-12) -> KrausSet:
+def kraus_from_chi(chi: ChiMatrix) -> KrausSet:
     """Spectral factorization of chi into Kraus operators.
 
-    Components with eigenvalue below rank_tol * lambda_max are dropped;
+    Components with eigenvalue below 1e-12 * lambda_max are dropped;
     an eigenvalue below the PSD clamp tolerance raises NotPsdError.
     """
     eig = qmath.herm_eig(chi.mat)
@@ -214,14 +216,12 @@ def kraus_from_chi(chi: ChiMatrix, rank_tol: float = 1e-12) -> KrausSet:
             f"chi has eigenvalue {w[0]:.6e}; not a physical channel",
             eigenvalue=float(w[0]),
         )
-    keep = w > rank_tol * max(float(w[-1]), 0.0)
+    keep = w > 1e-12 * max(float(w[-1]), 0.0)
     ops = []
-    coeffs = []
     for i in np.nonzero(keep)[0][::-1]:  # largest component first
         c = np.sqrt(w[i]) * eig.eigenvectors[:, i]
         ops.append(np.tensordot(c, chi.basis.ops, axes=(0, 0)))
-        coeffs.append(c)
-    return KrausSet(chi.dim, ops, np.array(coeffs) if coeffs else None)
+    return KrausSet(chi.dim, ops)
 
 
 def change_basis(chi: ChiMatrix, target: OperatorBasis) -> ChiMatrix:
@@ -288,15 +288,14 @@ def process_fidelity_tp(
     chi_a: ChiMatrix,
     chi_b: ChiMatrix,
     clamp_tol: float = qmath.DEFAULT_CLAMP_TOL,
-    trace_tol: float = 1e-6,
 ) -> float:
     """Process fidelity between two trace-preserving channels.
 
-    Both chi matrices must have unit trace within trace_tol; for lossy
+    Both chi matrices must have unit trace within 1e-6; for lossy
     channels use process_fidelity_ntp, which normalizes the traces away.
     """
     for name, chi in (("first", chi_a), ("second", chi_b)):
-        if abs(chi.trace() - 1.0) > trace_tol:
+        if abs(chi.trace() - 1.0) > 1e-6:
             raise RepresentationError(
                 f"{name} argument has trace {chi.trace():.6f}; "
                 "use process_fidelity_ntp for lossy channels"

@@ -8,7 +8,8 @@ Four subcommands cover the batch workflow:
     analyze-p    inspect the success-probability operator of a chi file
 
 Every command writes a sidecar run manifest (<out>.manifest.json) with
-the resolved configuration; data files reference the manifest by name so
+the resolved configuration, after its data file, so that a failed write
+leaves neither; data files reference the manifest by name so
 that a result can always be traced to the exact invocation, while the
 data files themselves stay byte-identical across reruns with the same
 seed.  Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical
@@ -101,6 +102,10 @@ def _default_seed(args) -> int:
     return seed
 
 
+def _manifest_name(out_path: str) -> str:
+    return os.path.basename(out_path) + ".manifest.json"
+
+
 def _write_manifest(out_path: str, command: str, config: dict, seed, outputs,
                     inputs=()):
     manifest = {
@@ -114,9 +119,7 @@ def _write_manifest(out_path: str, command: str, config: dict, seed, outputs,
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    path = out_path + ".manifest.json"
-    serialize.write_json(path, manifest)
-    return os.path.basename(path)
+    serialize.write_json(out_path + ".manifest.json", manifest)
 
 
 # config keys whose JSON list value stands for a comma-separated flag
@@ -178,10 +181,10 @@ def cmd_simulate(args) -> int:
         "exposure": args.exposure,
         "noise": args.noise,
     }
-    manifest = _write_manifest(args.out, "simulate", resolved, seed, [args.out])
     doc = serialize.count_table_to_dict(table)
-    doc["manifest"] = manifest
+    doc["manifest"] = _manifest_name(args.out)
     serialize.write_json(args.out, doc)
+    _write_manifest(args.out, "simulate", resolved, seed, [args.out])
     return 0
 
 
@@ -233,8 +236,10 @@ def cmd_reconstruct(args) -> int:
         reference = serialize.chi_from_dict(serialize.read_json(args.reference))
     report = _METHODS[args.method](table, opts=opts)
     doc = _report_dict(report, reference)
+    doc["manifest"] = _manifest_name(args.out)
+    serialize.write_json(args.out, doc)
     in_files = [args.counts] + ([args.reference] if args.reference else [])
-    manifest = _write_manifest(
+    _write_manifest(
         args.out,
         "reconstruct",
         {"method": args.method, "restarts": opts.restarts, "maxfev": opts.maxfev,
@@ -243,8 +248,6 @@ def cmd_reconstruct(args) -> int:
         [args.out],
         inputs=in_files,
     )
-    doc["manifest"] = manifest
-    serialize.write_json(args.out, doc)
     return 0
 
 
@@ -315,7 +318,16 @@ def cmd_sweep(args) -> int:
                     )
                 )
 
-    manifest = _write_manifest(
+    try:
+        with open(args.out, "w", newline="", encoding="utf-8") as fh:
+            fh.write(f"# manifest: {_manifest_name(args.out)}\n")
+            writer = csv.writer(fh)
+            writer.writerow(_SWEEP_COLUMNS)
+            for row in rows:
+                writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    except OSError as exc:
+        raise DataError(f"cannot write {args.out}: {exc}") from None
+    _write_manifest(
         args.out,
         "sweep",
         {
@@ -328,12 +340,6 @@ def cmd_sweep(args) -> int:
         seed,
         [args.out],
     )
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# manifest: {manifest}\n")
-        writer = csv.writer(fh)
-        writer.writerow(_SWEEP_COLUMNS)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
     return 0
 
 

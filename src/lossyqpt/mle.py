@@ -20,7 +20,8 @@ eigenvalue clipping (orthonormal coordinates make that projection the
 Euclidean one).  No restarts are needed, and the gradient matrix at the
 result certifies optimality.
 
-Four reconstruction flavors, each reporting the misfit f of its chi:
+Four reconstruction flavors, each reporting the misfit f of its chi
+through one report builder (the chi-space fits add their solver result):
 
   * fit_linear: the least-squares chi of the rates counts / exposure.
   * fit_unconstrained: the correct treatment for lossy maps.  The result
@@ -84,7 +85,8 @@ class FitOptions:
     maxfev caps the solver's iterations; xtol bounds its primal residual
     (chi units) and its dual residual (relative to the data's gradient
     scale).  The convex fit has a single start, so restarts and seed are
-    only recorded in the report.
+    only recorded in the report.  constraint_tol, the largest ||P - I||_F
+    a trace-preserving fit may return, is a fixed class constant.
     """
 
     restarts: int = 4
@@ -92,7 +94,7 @@ class FitOptions:
     xtol: float = 1e-9
     seed: int = 0
     weight_mode: str = "floor"  # "floor" -> w = max(n, 1); "drop" -> skip n = 0
-    constraint_tol: float = 1e-6
+    constraint_tol = 1e-6
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -135,16 +137,6 @@ def hermitian_frame(n: int) -> np.ndarray:
     herm = _hermitian_basis(n)
     herm = herm / np.linalg.norm(herm, axis=(1, 2))[:, None, None]
     return herm.reshape(n * n, n * n)
-
-
-def _resolve_protocol(counts: CountTable, inputs, analyzers):
-    in_labels = tuple(inputs) if inputs is not None else counts.inputs
-    an_labels = tuple(analyzers) if analyzers is not None else counts.projectors
-    if in_labels != counts.inputs or an_labels != counts.projectors:
-        raise RepresentationError(
-            "protocol labels disagree with the count table layout"
-        )
-    return in_labels, an_labels
 
 
 @dataclass(frozen=True)
@@ -199,13 +191,13 @@ def _plan_for(basis: OperatorBasis, in_labels: tuple, an_labels: tuple) -> _FitP
 class _Misfit:
     """The weighted misfit of one count table in frame coordinates."""
 
-    def __init__(self, counts: CountTable, basis, inputs, analyzers, weight_mode):
+    def __init__(self, counts: CountTable, basis, weight_mode):
         if basis is None:
             if counts.dim != 2:
                 raise RepresentationError("a basis must be given for d != 2")
             basis = pauli_basis()
         self.basis = basis
-        self.plan = _plan_for(basis, *_resolve_protocol(counts, inputs, analyzers))
+        self.plan = _plan_for(basis, counts.inputs, counts.projectors)
         self.frame = self.plan.frame
         model = counts.exposure * self.plan.design
         n_flat = counts.counts.reshape(-1)
@@ -231,6 +223,9 @@ class _Misfit:
         n = self.basis.size
         return (self.frame.T @ x).reshape(n, n)
 
+    def chi(self, x: np.ndarray) -> ChiMatrix:
+        return ChiMatrix(self.basis, self.matrix(x))
+
     def project(self, x: np.ndarray) -> np.ndarray:
         return self.coords(qmath.psd_projection(self.matrix(x)))
 
@@ -246,14 +241,12 @@ def likelihood(
     chi,
     counts: CountTable,
     basis: OperatorBasis | None = None,
-    inputs=None,
-    analyzers=None,
     weight_mode: str = "floor",
 ) -> float:
     """Weighted squared misfit between measured and model counts at chi
     (a ChiMatrix, or a d^2 x d^2 Hermitian array in `basis`)."""
     mat, basis = _chi_and_basis(chi, basis)
-    misfit = _Misfit(counts, basis, inputs, analyzers, weight_mode)
+    misfit = _Misfit(counts, basis, weight_mode)
     return misfit(misfit.coords(mat))[0]
 
 
@@ -261,37 +254,23 @@ def likelihood_gradient(
     chi,
     counts: CountTable,
     basis: OperatorBasis | None = None,
-    inputs=None,
-    analyzers=None,
     weight_mode: str = "floor",
 ) -> np.ndarray:
     """Gradient matrix G of the misfit at chi: the Hermitian matrix with
     f(chi + D) = f(chi) + Re Tr[G D] + O(||D||^2).  At an unconstrained
     optimum G is positive semidefinite and Tr[G chi] = 0."""
     mat, basis = _chi_and_basis(chi, basis)
-    misfit = _Misfit(counts, basis, inputs, analyzers, weight_mode)
+    misfit = _Misfit(counts, basis, weight_mode)
     return misfit.matrix(misfit(misfit.coords(mat))[1])
-
-
-def _constraint_gram(basis: OperatorBasis) -> np.ndarray:
-    """Stack of A_n^dag A_m indexed by the flattened chi index (m, n)."""
-    g = np.einsum("nji,mjk->mnik", basis.ops.conj(), basis.ops)
-    n = basis.size
-    return g.reshape(n * n, basis.dim, basis.dim)
-
-
-def constraint_residual(chi_mat: np.ndarray, basis: OperatorBasis) -> float:
-    """Frobenius distance of the success operator P from the identity."""
-    gram = _constraint_gram(basis)
-    p = np.tensordot(chi_mat.reshape(-1), gram, axes=(0, 0))
-    return float(np.linalg.norm(p - np.eye(basis.dim)))
 
 
 def _tp_equations(basis: OperatorBasis, frame: np.ndarray):
     """(E, e) with ||E x - e|| = ||P(chi(x)) - I||_F, in the frame
     coordinates of chi and of P."""
     dim = basis.dim
-    gram = _constraint_gram(basis).reshape(-1, dim * dim)
+    # row (m, n) is vec(A_n^dag A_m), so vec(P) = gram.T @ vec(chi)
+    gram = np.einsum("nji,mjk->mnik", basis.ops.conj(), basis.ops)
+    gram = gram.reshape(basis.size**2, dim * dim)
     p_frame = hermitian_frame(dim).conj()
     e_mat = (p_frame @ (frame @ gram).T).real
     e_rhs = (p_frame @ np.eye(dim).reshape(-1)).real
@@ -317,8 +296,9 @@ def _least_squares(misfit: _Misfit, counts: CountTable, post_select=False):
     return plan.seed_map @ rates.reshape(-1)
 
 
-def _solve(counts, basis, opts, inputs, analyzers, tp: bool):
-    misfit = _Misfit(counts, basis, inputs, analyzers, opts.weight_mode)
+def _solve(counts, basis, opts, tp: bool):
+    """(misfit, solver result) of a chi-space fit."""
+    misfit = _Misfit(counts, basis, opts.weight_mode)
     # the solver starts from the projection of x0, the least-squares chi,
     # onto the cone
     res = minimize_adaptive(
@@ -330,7 +310,25 @@ def _solve(counts, basis, opts, inputs, analyzers, tp: bool):
         xtol=opts.xtol,
         maxfev=opts.maxfev,
     )
-    return res, ChiMatrix(misfit.basis, misfit.matrix(res.x))
+    return misfit, res
+
+
+def _report(method, chi, objective, opts, res=None, scale=1.0, residual=None):
+    """The FitReport of chi; res is the solver result, None without one."""
+    return FitReport(
+        chi=chi,
+        objective=objective,
+        iterations=res.iterations if res else 0,
+        evaluations=res.evaluations if res else 0,
+        restarts_used=opts.restarts if res else 0,
+        normalization_scale=scale,
+        seed=opts.seed,
+        min_chi_eigenvalue=chi.min_eigenvalue(),
+        psd_ok=chi.is_psd(),
+        constraint_residual=residual,
+        method=method,
+        converged=res.converged if res else True,
+    )
 
 
 def normalize_max_p(chi: ChiMatrix):
@@ -351,8 +349,6 @@ def fit_unconstrained(
     counts: CountTable,
     basis: OperatorBasis | None = None,
     opts: FitOptions = FitOptions(),
-    inputs=None,
-    analyzers=None,
 ) -> FitReport:
     """Maximum-likelihood fit of a (possibly lossy) process matrix.
 
@@ -360,76 +356,39 @@ def fit_unconstrained(
     optimum to max eigenvalue of P equal to one; the reported objective
     is the misfit of the optimum before rescaling.
     """
-    res, raw = _solve(counts, basis, opts, inputs, analyzers, tp=False)
-    chi, scale = normalize_max_p(raw)
-    return FitReport(
-        chi=chi,
-        objective=res.fun,
-        iterations=res.iterations,
-        evaluations=res.evaluations,
-        restarts_used=opts.restarts,
-        normalization_scale=scale,
-        seed=opts.seed,
-        min_chi_eigenvalue=chi.min_eigenvalue(),
-        psd_ok=True,
-        method="mle",
-        converged=res.converged,
-    )
+    misfit, res = _solve(counts, basis, opts, tp=False)
+    chi, scale = normalize_max_p(misfit.chi(res.x))
+    return _report("mle", chi, res.fun, opts, res, scale=scale)
 
 
 def fit_trace_preserving(
     counts: CountTable,
     basis: OperatorBasis | None = None,
     opts: FitOptions = FitOptions(),
-    inputs=None,
-    analyzers=None,
 ) -> FitReport:
     """Fit under the (often wrong) assumption that the map preserves trace.
 
-    Minimizes the misfit over positive semidefinite chi with P = I.
-    Raises DegenerateFitError if the returned chi misses P = I by
-    constraint_tol or more, which happens only when the iteration budget
-    runs out first.
+    Minimizes the misfit over positive semidefinite chi with P = I and
+    reports ||P - I||_F as constraint_residual.  Raises DegenerateFitError
+    if the returned chi misses P = I by FitOptions.constraint_tol or
+    more, which happens only when the iteration budget runs out first.
     """
-    res, chi = _solve(counts, basis, opts, inputs, analyzers, tp=True)
-    residual = constraint_residual(chi.mat, chi.basis)
+    misfit, res = _solve(counts, basis, opts, tp=True)
+    e_mat, e_rhs = misfit.plan.tp_equations
+    residual = float(np.linalg.norm(e_mat @ res.x - e_rhs))
     if residual >= opts.constraint_tol:
         raise DegenerateFitError(
             f"trace-preserving fit missed its constraint: ||P - I|| = {residual:.3e} "
             f"after {res.iterations} iterations (target {opts.constraint_tol:.1e})"
         )
-    return FitReport(
-        chi=chi,
-        objective=res.fun,
-        iterations=res.iterations,
-        evaluations=res.evaluations,
-        restarts_used=opts.restarts,
-        normalization_scale=1.0,
-        seed=opts.seed,
-        min_chi_eigenvalue=chi.min_eigenvalue(),
-        psd_ok=True,
-        constraint_residual=residual,
-        method="mle-tp",
-        converged=res.converged,
-    )
+    return _report("mle-tp", misfit.chi(res.x), res.fun, opts, res, residual=residual)
 
 
 def _fit_linear(counts, basis, opts, post_select: bool) -> FitReport:
-    misfit = _Misfit(counts, basis, None, None, opts.weight_mode)
+    misfit = _Misfit(counts, basis, opts.weight_mode)
     x = _least_squares(misfit, counts, post_select)
-    chi = ChiMatrix(misfit.basis, misfit.matrix(x))
-    return FitReport(
-        chi=chi,
-        objective=misfit(x)[0],
-        iterations=0,
-        evaluations=0,
-        restarts_used=0,
-        normalization_scale=1.0,
-        seed=opts.seed,
-        min_chi_eigenvalue=chi.min_eigenvalue(),
-        psd_ok=chi.is_psd(),
-        method="post-selected" if post_select else "linear",
-    )
+    method = "post-selected" if post_select else "linear"
+    return _report(method, misfit.chi(x), misfit(x)[0], opts)
 
 
 def fit_linear(

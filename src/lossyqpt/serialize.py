@@ -127,12 +127,12 @@ def count_table_from_dict(doc: dict) -> CountTable:
         raise DataError(f"malformed count table: {exc}") from None
 
 
-def probability_operator_to_dict(p: ProbabilityOperator, warn=True) -> dict:
+def probability_operator_to_dict(p: ProbabilityOperator) -> dict:
     """Serialize P; rounding-level excursions outside [0, 1] are clamped
     and anything larger is kept as-is with a warning on stderr."""
     w = p.eigenvalues.copy()
     beyond = (w < -_SPECTRUM_CLAMP) | (w > 1.0 + _SPECTRUM_CLAMP)
-    if warn and bool(beyond.any()):
+    if beyond.any():
         print(
             f"warning: P eigenvalues outside [0, 1]: {w[beyond]}",
             file=sys.stderr,
@@ -150,9 +150,12 @@ def probability_operator_to_dict(p: ProbabilityOperator, warn=True) -> dict:
 
 
 def write_json(path, doc: dict):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from None
 
 
 def read_json(path) -> dict:

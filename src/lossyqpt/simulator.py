@@ -31,7 +31,6 @@ from .channels import (
 )
 from .errors import DataError
 from .states import STATE_LABELS, kets_for
-from .states import state_catalog, state_ket  # noqa: F401  (re-export)
 from .tomography import CountTable, measurement_design
 
 

@@ -203,9 +203,9 @@ def build_beta(basis: OperatorBasis, state_basis: StateBasis) -> BetaTensor:
     return BetaTensor(basis, state_basis, mat)
 
 
-def invert_beta(beta: BetaTensor, rcond: float = 1e-10) -> TauTensor:
+def invert_beta(beta: BetaTensor) -> TauTensor:
     """Moore-Penrose generalized inverse of the beta tensor."""
-    mat = np.linalg.pinv(beta.mat, rcond=rcond)
+    mat = np.linalg.pinv(beta.mat, rcond=1e-10)
     n4 = beta.mat.shape[1]
     if np.abs(mat @ beta.mat - np.eye(n4)).max() > 1e-8:
         raise SingularSystemError(
@@ -252,27 +252,21 @@ def _hermitian_basis(d: int) -> np.ndarray:
     return np.array(out)
 
 
-def state_tomography(
-    counts_for_input,
-    exposure: float,
-    projectors: dict | None = None,
-) -> np.ndarray:
+def state_tomography(counts_for_input, exposure: float) -> np.ndarray:
     """Unnormalized linear state estimate from projector-labeled counts.
 
     Args:
         counts_for_input: mapping {analyzer label: counts} for one input
-            setting.  With the default analyzers all six labels
-            H, V, D, A, R, L must be present.
+            setting.  All six analyzer labels H, V, D, A, R, L must be
+            present.
         exposure: expected pairs per setting; converts counts to rates.
-        projectors: optional {label: projector matrix} override.
 
     Returns:
         Hermitian d x d matrix.  Its trace estimates the success
         probability of the channel on this input; it is NOT normalized
         and may be indefinite for noisy counts.
     """
-    if projectors is None:
-        projectors = pol.state_catalog()
+    projectors = pol.state_catalog()
     missing = [lab for lab in projectors if lab not in counts_for_input]
     if missing:
         raise DataError(f"missing analyzer rows: {missing}")

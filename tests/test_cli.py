@@ -227,6 +227,33 @@ class TestBadValues:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("command", ["simulate", "reconstruct", "sweep"])
+    def test_unwritable_out_is_data_error(self, tmp_path, capsys, command, target):
+        counts = tmp_path / "counts.json"
+        run("simulate", "--gamma", "0.5", "--seed", "3", "--out", str(counts))
+        capsys.readouterr()
+        flags = {
+            "simulate": ("--gamma", "0.5"),
+            "reconstruct": ("--method", "linear", "--counts", str(counts)),
+            "sweep": ("--gammas", "0.5", "--methods", "linear"),
+        }[command]
+        out = tmp_path / "out"
+        if target == "directory":
+            out.mkdir()
+        else:
+            out = out / "data"
+        code = run(command, *flags, "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: cannot write") and "Traceback" not in err
+        # neither the data file nor its manifest is left behind
+        left = {p.name for p in tmp_path.iterdir()}
+        assert left - {"counts.json", "counts.json.manifest.json"} == (
+            {"out"} if target == "directory" else set())
+        if target == "directory":
+            assert not any(out.iterdir())
+
     @pytest.mark.parametrize("exposure", [float("nan"), float("inf")])
     def test_non_finite_exposure_in_counts_is_data_error(self, tmp_path, capsys,
                                                          exposure):

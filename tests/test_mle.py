@@ -240,11 +240,40 @@ class TestFitTracePreserving:
         f_un = process_fidelity_ntp(un.chi, ref)
         assert f_tp < f_un - 0.05
 
+    @pytest.mark.parametrize("gamma", [1.0, 0.55, 0.1])
+    def test_residual_is_p_distance(self, gamma):
+        # checked against P of the reported chi, not the solver's equations
+        report = fit_trace_preserving(table_for(gamma, seed=29), opts=FAST)
+        p = probability_operator(report.chi).mat
+        assert report.constraint_residual == pytest.approx(
+            np.linalg.norm(p - np.eye(2)), rel=0, abs=1e-12)
+
     def test_budget_exhaustion_raises(self):
         # five iterations cannot meet P = I to constraint_tol
         table = table_for(0.2, seed=23)
         with pytest.raises(DegenerateFitError, match="missed its constraint"):
             fit_trace_preserving(table, opts=FitOptions(maxfev=5))
+
+
+class TestFitReportFields:
+    @pytest.mark.parametrize("fit, method", [
+        (fit_linear, "linear"), (fit_post_selected, "post-selected"),
+        (fit_unconstrained, "mle"), (fit_trace_preserving, "mle-tp"),
+    ])
+    def test_readme_rules(self, fit, method):
+        report = fit(table_for(0.25, seed=31), opts=FAST)
+        assert report.method == method
+        if method in ("mle", "mle-tp"):
+            assert report.evaluations == 2
+        else:
+            assert report.evaluations == 0
+            assert report.iterations == 0 and report.restarts_used == 0
+            assert report.converged
+        if method != "mle":
+            assert report.normalization_scale == 1.0
+        assert (report.constraint_residual is None) == (method != "mle-tp")
+        assert report.psd_ok == report.chi.is_psd()
+        assert report.min_chi_eigenvalue == report.chi.min_eigenvalue()
 
 
 class TestFitPostSelected:

@@ -253,7 +253,7 @@ class TestForwardModel:
                                                exposure):
         mu = expected_counts(chi, exposure, inputs, analyzers)
         table = CountTable(2, inputs, analyzers, exposure, mu)
-        misfit = _Misfit(table, chi.basis, None, None, "floor")
+        misfit = _Misfit(table, chi.basis, "floor")
         model = misfit.model @ misfit.coords(chi.mat)
         assert np.abs(model - mu.ravel()).max() <= 1e-12 * exposure
 
