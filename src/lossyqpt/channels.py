@@ -87,6 +87,16 @@ def elementary_basis(d: int) -> OperatorBasis:
     return OperatorBasis(d, ops, "elementary-scaled")
 
 
+def named_basis(label: str, dim: int) -> OperatorBasis:
+    """The basis a (label, dim) pair names: "pauli" for d = 2, or
+    "elementary-scaled" for any d >= 2."""
+    if label == "pauli" and dim == 2:
+        return pauli_basis()
+    if label == "elementary-scaled":
+        return elementary_basis(dim)
+    raise RepresentationError(f"no operator basis named {label!r} for d={dim}")
+
+
 @dataclass(frozen=True)
 class ChiMatrix:
     """Process matrix chi_mn relative to a declared operator basis.
@@ -120,15 +130,16 @@ class ChiMatrix:
         return float(np.trace(self.mat).real)
 
     @cached_property
-    def _eigenvalues(self) -> np.ndarray:
-        return qmath.herm_eig(self.mat).eigenvalues
+    def _spectrum(self) -> qmath.EigDecomposition:
+        return qmath.herm_eig(self.mat)
 
     def min_eigenvalue(self) -> float:
-        return float(self._eigenvalues[0])
+        return float(self._spectrum.eigenvalues[0])
 
-    def is_psd(self, tol: float = qmath.DEFAULT_CLAMP_TOL) -> bool:
-        w = self._eigenvalues
-        return bool(w[0] >= -tol * max(1.0, float(w[-1])))
+    def is_psd(self) -> bool:
+        """No eigenvalue below -DEFAULT_CLAMP_TOL * max(1, lambda_max)."""
+        w = self._spectrum.eigenvalues
+        return bool(w[0] >= -qmath.DEFAULT_CLAMP_TOL * max(1.0, float(w[-1])))
 
     def scaled(self, factor: float) -> "ChiMatrix":
         return ChiMatrix(self.basis, self.mat * factor)
@@ -206,16 +217,15 @@ def kraus_from_chi(chi: ChiMatrix) -> KrausSet:
     """Spectral factorization of chi into Kraus operators.
 
     Components with eigenvalue below 1e-12 * lambda_max are dropped;
-    an eigenvalue below the PSD clamp tolerance raises NotPsdError.
+    a chi that is not is_psd() raises NotPsdError.
     """
-    eig = qmath.herm_eig(chi.mat)
-    w = eig.eigenvalues
-    scale = max(1.0, float(w[-1]))
-    if w[0] < -qmath.DEFAULT_CLAMP_TOL * scale:
+    if not chi.is_psd():
+        w0 = chi.min_eigenvalue()
         raise NotPsdError(
-            f"chi has eigenvalue {w[0]:.6e}; not a physical channel",
-            eigenvalue=float(w[0]),
+            f"chi has eigenvalue {w0:.6e}; not a physical channel", eigenvalue=w0
         )
+    eig = chi._spectrum
+    w = eig.eigenvalues
     keep = w > 1e-12 * max(float(w[-1]), 0.0)
     ops = []
     for i in np.nonzero(keep)[0][::-1]:  # largest component first
@@ -284,11 +294,7 @@ def _common_basis(chi_a: ChiMatrix, chi_b: ChiMatrix):
     return chi_a, chi_b
 
 
-def process_fidelity_tp(
-    chi_a: ChiMatrix,
-    chi_b: ChiMatrix,
-    clamp_tol: float = qmath.DEFAULT_CLAMP_TOL,
-) -> float:
+def process_fidelity_tp(chi_a: ChiMatrix, chi_b: ChiMatrix) -> float:
     """Process fidelity between two trace-preserving channels.
 
     Both chi matrices must have unit trace within 1e-6; for lossy
@@ -301,7 +307,7 @@ def process_fidelity_tp(
                 "use process_fidelity_ntp for lossy channels"
             )
     chi_a, chi_b = _common_basis(chi_a, chi_b)
-    return qmath.state_fidelity(chi_a.mat, chi_b.mat, clamp_tol)
+    return qmath.state_fidelity(chi_a.mat, chi_b.mat)
 
 
 def process_fidelity_ntp(

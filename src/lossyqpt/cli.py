@@ -7,13 +7,13 @@ Four subcommands cover the batch workflow:
     sweep        scan the transmittivity ratio and emit a CSV data series
     analyze-p    inspect the success-probability operator of a chi file
 
-Every command writes a sidecar run manifest (<out>.manifest.json) with
-the resolved configuration, after its data file, so that a failed write
-leaves neither; data files reference the manifest by name so
-that a result can always be traced to the exact invocation, while the
-data files themselves stay byte-identical across reruns with the same
-seed.  Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical
-failure.
+Every command except analyze-p writes a sidecar run manifest
+(<out>.manifest.json) with the resolved configuration, after its data
+file; if either cannot be written the command exits 3 and leaves
+neither.  Data files reference the manifest by name so that a result
+can always be traced to the exact invocation, while the data files
+themselves stay byte-identical across reruns with the same seed.  Exit
+codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 
 A --config file is a JSON object whose keys are long flag names without
 the dashes ("gamma", "t-h", "weight-mode").  Each entry is parsed as the
@@ -102,12 +102,21 @@ def _default_seed(args) -> int:
     return seed
 
 
-def _manifest_name(out_path: str) -> str:
-    return os.path.basename(out_path) + ".manifest.json"
-
-
-def _write_manifest(out_path: str, command: str, config: dict, seed, outputs,
-                    inputs=()):
+def _write_outputs(args, data, command: str, config: dict, seed, inputs=()):
+    """Write args.out, then its manifest; data is a JSON document or the
+    rows of a CSV file.  A manifest that cannot be written takes the data
+    file with it, so a failed command leaves neither."""
+    name = os.path.basename(args.out) + ".manifest.json"
+    if isinstance(data, dict):
+        serialize.write_json(args.out, {**data, "manifest": name})
+    else:
+        try:
+            with open(args.out, "w", newline="", encoding="utf-8") as fh:
+                fh.write(f"# manifest: {name}\n")
+                csv.writer(fh).writerows(
+                    [repr(v) if isinstance(v, float) else v for v in row] for row in data)
+        except OSError as exc:
+            raise DataError(f"cannot write {args.out}: {exc}") from None
     manifest = {
         "schema": serialize.SCHEMA_VERSION,
         "kind": "run_manifest",
@@ -115,11 +124,15 @@ def _write_manifest(out_path: str, command: str, config: dict, seed, outputs,
         "config": config,
         "seed": seed,
         "inputs": list(inputs),
-        "outputs": [os.path.basename(p) for p in outputs],
+        "outputs": [os.path.basename(args.out)],
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    serialize.write_json(out_path + ".manifest.json", manifest)
+    try:
+        serialize.write_json(args.out + ".manifest.json", manifest)
+    except DataError:
+        os.remove(args.out)
+        raise
 
 
 # config keys whose JSON list value stands for a comma-separated flag
@@ -146,29 +159,29 @@ def _config_tokens(path: str) -> list:
     return tokens
 
 
+def _from_flags(make, *args, **kwargs):
+    """make(*args, **kwargs) on flag values; a value it rejects is a
+    usage error."""
+    try:
+        return make(*args, **kwargs)
+    except (DataError, ValueError) as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _ppbs_params(args) -> PpbsParams:
     gamma, t_h, t_v = args.gamma, args.t_h, args.t_v
     if gamma is not None:
         if t_h is not None or t_v is not None:
             raise UsageError("--gamma and --t-h/--t-v are mutually exclusive")
-        try:
-            return PpbsParams.from_gamma(gamma)
-        except DataError as exc:
-            raise UsageError(str(exc)) from None
+        return _from_flags(PpbsParams.from_gamma, gamma)
     if t_h is None or t_v is None:
         raise UsageError("need either --gamma or both --t-h and --t-v")
-    try:
-        return PpbsParams(t_h, t_v)
-    except DataError as exc:
-        raise UsageError(str(exc)) from None
+    return _from_flags(PpbsParams, t_h, t_v)
 
 
 def _sim_config(args, params, seed) -> SimConfig:
-    """SimConfig from flag values; values it rejects are usage errors."""
-    try:
-        return SimConfig(params, exposure=args.exposure, seed=seed, noise=args.noise)
-    except DataError as exc:
-        raise UsageError(str(exc)) from None
+    return _from_flags(SimConfig, params, exposure=args.exposure, seed=seed,
+                       noise=args.noise)
 
 
 def cmd_simulate(args) -> int:
@@ -181,28 +194,27 @@ def cmd_simulate(args) -> int:
         "exposure": args.exposure,
         "noise": args.noise,
     }
-    doc = serialize.count_table_to_dict(table)
-    doc["manifest"] = _manifest_name(args.out)
-    serialize.write_json(args.out, doc)
-    _write_manifest(args.out, "simulate", resolved, seed, [args.out])
+    _write_outputs(args, serialize.count_table_to_dict(table), "simulate",
+                   resolved, seed)
     return 0
 
 
 def _fit_options(args, seed) -> FitOptions:
-    try:
-        return FitOptions(
-            restarts=args.restarts,
-            maxfev=args.maxfev,
-            xtol=args.xtol,
-            seed=seed,
-            weight_mode=args.weight_mode,
-        )
-    except ValueError as exc:
-        raise UsageError(f"bad fit option: {exc}") from None
+    return _from_flags(FitOptions, restarts=args.restarts, maxfev=args.maxfev,
+                       xtol=args.xtol, seed=seed, weight_mode=args.weight_mode)
+
+
+def _score(chi, reference):
+    """The fit's fidelity to the reference chi (None without one) and its
+    success-probability operator P."""
+    fidelity = None
+    if reference is not None:
+        fidelity = process_fidelity_ntp(chi, reference, clamp_tol=1.0)
+    return fidelity, probability_operator(chi)
 
 
 def _report_dict(report, reference=None):
-    p = probability_operator(report.chi)
+    fidelity, p = _score(report.chi, reference)
     doc = {
         "schema": serialize.SCHEMA_VERSION,
         "kind": "fit_report",
@@ -220,10 +232,8 @@ def _report_dict(report, reference=None):
         "converged": report.converged,
         "p_operator": serialize.probability_operator_to_dict(p),
     }
-    if reference is not None:
-        doc["fidelity_vs_reference"] = process_fidelity_ntp(
-            report.chi, reference, clamp_tol=1.0
-        )
+    if fidelity is not None:
+        doc["fidelity_vs_reference"] = fidelity
     return doc
 
 
@@ -235,19 +245,12 @@ def cmd_reconstruct(args) -> int:
     if args.reference is not None:
         reference = serialize.chi_from_dict(serialize.read_json(args.reference))
     report = _METHODS[args.method](table, opts=opts)
-    doc = _report_dict(report, reference)
-    doc["manifest"] = _manifest_name(args.out)
-    serialize.write_json(args.out, doc)
+    resolved = {"method": args.method, "restarts": opts.restarts,
+                "maxfev": opts.maxfev, "xtol": opts.xtol,
+                "weight_mode": opts.weight_mode}
     in_files = [args.counts] + ([args.reference] if args.reference else [])
-    _write_manifest(
-        args.out,
-        "reconstruct",
-        {"method": args.method, "restarts": opts.restarts, "maxfev": opts.maxfev,
-         "xtol": opts.xtol, "weight_mode": opts.weight_mode},
-        seed,
-        [args.out],
-        inputs=in_files,
-    )
+    _write_outputs(args, _report_dict(report, reference), "reconstruct", resolved,
+                   seed, inputs=in_files)
     return 0
 
 
@@ -275,9 +278,6 @@ def _parse_gammas(args):
             ) from None
     if not values:
         raise UsageError("empty gamma list")
-    for g in values:
-        if not 0.0 < g <= 1.0:
-            raise UsageError(f"gamma values must lie in (0, 1], got {g}")
     return values
 
 
@@ -292,54 +292,25 @@ def cmd_sweep(args) -> int:
             raise UsageError(f"unknown method {m!r}; choose from {sorted(_METHODS)}")
     if args.repeats < 1:
         raise UsageError("--repeats must be at least 1")
+    points = [_from_flags(PpbsParams.from_gamma, g) for g in gammas]
 
-    rows = []
-    for gi, gamma in enumerate(gammas):
-        params = PpbsParams.from_gamma(gamma)
+    rows = [_SWEEP_COLUMNS]
+    for gi, params in enumerate(points):
         reference = ppbs_chi(params)
         for rep in range(args.repeats):
             run_seed = derive_seed(seed, gi, rep)
             table = simulate_counts(_sim_config(args, params, run_seed))
             for method in methods:
-                opts = FitOptions(seed=run_seed)
-                report = _METHODS[method](table, opts=opts)
-                fidelity = process_fidelity_ntp(report.chi, reference, clamp_tol=1.0)
-                eigs = probability_operator(report.chi).eigenvalues
-                rows.append(
-                    (
-                        gamma,
-                        method,
-                        fidelity,
-                        float(eigs[-1]),
-                        float(eigs[0]),
-                        report.objective,
-                        report.min_chi_eigenvalue,
-                        run_seed,
-                    )
-                )
+                report = _METHODS[method](table, opts=FitOptions(seed=run_seed))
+                fidelity, p = _score(report.chi, reference)
+                eigs = p.eigenvalues
+                rows.append((params.gamma, method, fidelity, float(eigs[-1]),
+                             float(eigs[0]), report.objective,
+                             report.min_chi_eigenvalue, run_seed))
 
-    try:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            fh.write(f"# manifest: {_manifest_name(args.out)}\n")
-            writer = csv.writer(fh)
-            writer.writerow(_SWEEP_COLUMNS)
-            for row in rows:
-                writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    except OSError as exc:
-        raise DataError(f"cannot write {args.out}: {exc}") from None
-    _write_manifest(
-        args.out,
-        "sweep",
-        {
-            "gammas": gammas,
-            "methods": methods,
-            "repeats": args.repeats,
-            "exposure": args.exposure,
-            "noise": args.noise,
-        },
-        seed,
-        [args.out],
-    )
+    resolved = {"gammas": gammas, "methods": methods, "repeats": args.repeats,
+                "exposure": args.exposure, "noise": args.noise}
+    _write_outputs(args, rows, "sweep", resolved, seed)
     return 0
 
 

@@ -58,7 +58,7 @@ from . import qmath
 from .channels import (
     ChiMatrix,
     OperatorBasis,
-    elementary_basis,
+    named_basis,
     pauli_basis,
     probability_operator,
 )
@@ -177,8 +177,7 @@ def _build_plan(basis: OperatorBasis, in_labels, an_labels) -> _FitPlan:
 
 @lru_cache(maxsize=32)
 def _named_plan(label: str, dim: int, in_labels: tuple, an_labels: tuple) -> _FitPlan:
-    basis = pauli_basis() if label == "pauli" else elementary_basis(dim)
-    return _build_plan(basis, in_labels, an_labels)
+    return _build_plan(named_basis(label, dim), in_labels, an_labels)
 
 
 def _plan_for(basis: OperatorBasis, in_labels: tuple, an_labels: tuple) -> _FitPlan:

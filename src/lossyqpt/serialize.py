@@ -15,12 +15,7 @@ import sys
 
 import numpy as np
 
-from .channels import (
-    ChiMatrix,
-    ProbabilityOperator,
-    elementary_basis,
-    pauli_basis,
-)
+from .channels import ChiMatrix, ProbabilityOperator, named_basis
 from .errors import DataError
 from .tomography import CountTable
 
@@ -54,16 +49,6 @@ def _check_kind(doc: dict, kind: str):
         raise DataError(f"expected kind {kind!r}, found {doc.get('kind')!r}")
 
 
-def basis_from_label(label: str, dim: int):
-    if label == "pauli":
-        if dim != 2:
-            raise DataError("the pauli basis label implies dim = 2")
-        return pauli_basis()
-    if label == "elementary-scaled":
-        return elementary_basis(dim)
-    raise DataError(f"cannot reconstruct operator basis from label {label!r}")
-
-
 def chi_to_dict(chi: ChiMatrix) -> dict:
     return {
         "schema": SCHEMA_VERSION,
@@ -87,7 +72,7 @@ def chi_from_dict(doc: dict) -> ChiMatrix:
     if mat.shape != (dim**2, dim**2) or not np.all(np.isfinite(mat)):
         raise DataError(f"dim {dim} needs a finite {dim**2}x{dim**2} chi matrix")
     try:
-        return ChiMatrix(basis_from_label(label, dim), mat)
+        return ChiMatrix(named_basis(label, dim), mat)
     except Exception as exc:
         raise DataError(f"invalid chi matrix: {exc}") from None
 

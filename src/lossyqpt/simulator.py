@@ -24,7 +24,6 @@ import numpy as np
 
 from .channels import (
     ChiMatrix,
-    OperatorBasis,
     ProbabilityOperator,
     pauli_basis,
     probability_operator,
@@ -104,7 +103,7 @@ def ppbs_kraus(p: PpbsParams) -> np.ndarray:
     return np.diag([np.sqrt(p.t_h), np.sqrt(p.t_v)]).astype(complex)
 
 
-def ppbs_chi(p: PpbsParams, basis: OperatorBasis | None = None) -> ChiMatrix:
+def ppbs_chi(p: PpbsParams) -> ChiMatrix:
     """Analytic process matrix of the device in the Pauli basis.
 
     Nonzero entries (Pauli order I, x, y, z):
@@ -115,18 +114,12 @@ def ppbs_chi(p: PpbsParams, basis: OperatorBasis | None = None) -> ChiMatrix:
 
     a rank-one matrix, as expected for a single-Kraus map.
     """
-    if basis is None:
-        basis = pauli_basis()
-    if basis.label != "pauli":
-        from .channels import change_basis
-
-        return change_basis(ppbs_chi(p), basis)
     sh, sv = np.sqrt(p.t_h), np.sqrt(p.t_v)
     mat = np.zeros((4, 4), dtype=complex)
     mat[0, 0] = (sh + sv) ** 2 / 4.0
     mat[3, 3] = (sh - sv) ** 2 / 4.0
     mat[0, 3] = mat[3, 0] = (p.t_h - p.t_v) / 4.0
-    return ChiMatrix(basis, mat)
+    return ChiMatrix(pauli_basis(), mat)
 
 
 def ppbs_probability_operator(p: PpbsParams) -> ProbabilityOperator:

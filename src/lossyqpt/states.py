@@ -41,9 +41,10 @@ def state_density(label: str) -> np.ndarray:
     return np.outer(ket, ket.conj())
 
 
-def state_catalog(labels=STATE_LABELS) -> dict[str, np.ndarray]:
-    """Map each label to its density matrix (the projector onto the state)."""
-    return {lab: state_density(lab) for lab in labels}
+def state_catalog() -> dict[str, np.ndarray]:
+    """Map each of the six labels to its density matrix (the projector
+    onto the state)."""
+    return {lab: state_density(lab) for lab in STATE_LABELS}
 
 
 def kets_for(labels) -> np.ndarray:

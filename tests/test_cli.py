@@ -227,7 +227,8 @@ class TestBadValues:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("target",
+                             ["missing-directory", "directory", "manifest-directory"])
     @pytest.mark.parametrize("command", ["simulate", "reconstruct", "sweep"])
     def test_unwritable_out_is_data_error(self, tmp_path, capsys, command, target):
         counts = tmp_path / "counts.json"
@@ -239,9 +240,12 @@ class TestBadValues:
             "sweep": ("--gammas", "0.5", "--methods", "linear"),
         }[command]
         out = tmp_path / "out"
-        if target == "directory":
-            out.mkdir()
-        else:
+        # the directory that stands where a file must be written
+        blocker = {"missing-directory": None, "directory": out,
+                   "manifest-directory": tmp_path / "out.manifest.json"}[target]
+        if blocker is not None:
+            blocker.mkdir()
+        if target == "missing-directory":
             out = out / "data"
         code = run(command, *flags, "--out", str(out))
         err = capsys.readouterr().err
@@ -250,9 +254,9 @@ class TestBadValues:
         # neither the data file nor its manifest is left behind
         left = {p.name for p in tmp_path.iterdir()}
         assert left - {"counts.json", "counts.json.manifest.json"} == (
-            {"out"} if target == "directory" else set())
-        if target == "directory":
-            assert not any(out.iterdir())
+            set() if blocker is None else {blocker.name})
+        if blocker is not None:
+            assert not any(blocker.iterdir())
 
     @pytest.mark.parametrize("exposure", [float("nan"), float("inf")])
     def test_non_finite_exposure_in_counts_is_data_error(self, tmp_path, capsys,
