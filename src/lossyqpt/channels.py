@@ -16,7 +16,7 @@ means the success probability depends on the input state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -41,6 +41,7 @@ PAULI = np.array(
     ],
     dtype=complex,
 )
+PAULI.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -70,20 +71,33 @@ class OperatorBasis:
     def size(self) -> int:
         return self.dim * self.dim
 
+    @cached_property
+    def _p_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(L, R) with L[(j, i), n] = conj(A_n)[j, i] and R[(j, m), k] =
+        A_m[j, k], the operators as probability_operator multiplies them."""
+        a, d, n = self.ops, self.dim, self.size
+        return (a.conj().transpose(1, 2, 0).reshape(d * d, n),
+                a.transpose(1, 0, 2).reshape(d * n, d))
 
+
+@lru_cache(maxsize=None)
 def pauli_basis() -> OperatorBasis:
-    """The qubit basis {I, sigma_x, sigma_y, sigma_z}."""
-    return OperatorBasis(2, PAULI.copy(), "pauli")
+    """The qubit basis {I, sigma_x, sigma_y, sigma_z}: one shared instance,
+    with read-only operators."""
+    return OperatorBasis(2, PAULI, "pauli")
 
 
+@lru_cache(maxsize=8)
 def elementary_basis(d: int) -> OperatorBasis:
-    """The scaled matrix units sqrt(d)|i><j| in lexicographic (i, j) order."""
+    """The scaled matrix units sqrt(d)|i><j| in lexicographic (i, j) order:
+    one shared instance per d, with read-only operators."""
     if d < 2:
         raise RepresentationError("elementary basis needs d >= 2")
     ops = np.zeros((d * d, d, d), dtype=complex)
     for i in range(d):
         for j in range(d):
             ops[i * d + j, i, j] = np.sqrt(d)
+    ops.flags.writeable = False
     return OperatorBasis(d, ops, "elementary-scaled")
 
 
@@ -95,6 +109,22 @@ def named_basis(label: str, dim: int) -> OperatorBasis:
     if label == "elementary-scaled":
         return elementary_basis(dim)
     raise RepresentationError(f"no operator basis named {label!r} for d={dim}")
+
+
+def is_named(basis: OperatorBasis) -> bool:
+    """Whether basis is named_basis(basis.label, basis.dim) itself.
+
+    A label alone does not say so: a reordered Pauli basis may carry the
+    label "pauli".  The operators are compared, in order, with the named
+    ones, which costs a few microseconds.
+    """
+    if basis.label == "pauli" and basis.dim == 2:
+        named = PAULI
+    elif basis.label == "elementary-scaled" and basis.dim >= 2:
+        named = elementary_basis(basis.dim).ops
+    else:
+        return False
+    return np.array_equal(basis.ops, named)
 
 
 @dataclass(frozen=True)
@@ -191,7 +221,7 @@ def apply_channel(chi: ChiMatrix, rho: np.ndarray) -> np.ndarray:
             f"state must be {d}x{d} for this channel, got {rho.shape}"
         )
     a = chi.basis.ops
-    out = np.einsum("mn,mij,jk,nlk->il", chi.mat, a, rho, a.conj(), optimize=True)
+    out = np.einsum("mn,mij,jk,nlk->il", chi.mat, a, rho, a.conj())
     return 0.5 * (out + out.conj().T)
 
 
@@ -249,15 +279,27 @@ def change_basis(chi: ChiMatrix, target: OperatorBasis) -> ChiMatrix:
 
 
 def probability_operator(chi: ChiMatrix) -> ProbabilityOperator:
-    """P = sum_mn chi_mn A_n^dag A_m, with spectrum and spectral class."""
-    a = chi.basis.ops
-    p = np.einsum("mn,nji,mjk->ik", chi.mat, a.conj(), a, optimize=True)
+    """P = sum_mn chi_mn A_n^dag A_m, with spectrum and spectral class.
+
+    P is symmetrized before its spectrum is taken, so it is Hermitian by
+    construction and skips herm_eig's Hermiticity check; chi itself was
+    validated when the ChiMatrix was built.
+    """
+    left, right = chi.basis._p_factors
+    d, n = chi.dim, chi.basis.size
+    # two matrix products, summed in the order of numpy's optimized einsum
+    # path for this contraction, so P matches it bit for bit, down to the
+    # sign of zero entries, which analyze-p prints;
+    # t[i, j, m] = sum_n conj(A_n)[j, i] chi_mn
+    t = (left @ chi.mat.T).reshape(d, d, n)
+    p = t.transpose(1, 0, 2).reshape(d, d * n) @ right
     p = 0.5 * (p + p.conj().T)
-    spectrum = qmath.herm_eig(p)
-    w = spectrum.eigenvalues
-    if np.all(np.abs(w - 1.0) <= CLASSIFY_TOL):
+    spectrum = qmath.EigDecomposition(*np.linalg.eigh(p))
+    # the eigenvalues ascend, so the extreme two decide the class
+    lo, hi = float(spectrum.eigenvalues[0]), float(spectrum.eigenvalues[-1])
+    if hi - 1.0 <= CLASSIFY_TOL and 1.0 - lo <= CLASSIFY_TOL:
         tag = TRACE_PRESERVING
-    elif float(w[-1] - w[0]) <= CLASSIFY_TOL:
+    elif hi - lo <= CLASSIFY_TOL:
         tag = UNIFORM_LOSSY
     else:
         tag = STATE_DEPENDENT
@@ -289,7 +331,10 @@ def _common_basis(chi_a: ChiMatrix, chi_b: ChiMatrix):
         raise RepresentationError(
             f"cannot compare channels of dimension {chi_a.dim} and {chi_b.dim}"
         )
-    if chi_b.basis.label != chi_a.basis.label:
+    # the same label does not make the same basis; only the operators do
+    if chi_b.basis is not chi_a.basis and not np.array_equal(
+        chi_b.basis.ops, chi_a.basis.ops
+    ):
         chi_b = change_basis(chi_b, chi_a.basis)
     return chi_a, chi_b
 

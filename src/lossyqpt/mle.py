@@ -43,7 +43,8 @@ semidefinite projection and are deterministic given the count table.
 Everything that depends only on the protocol (the frame, the
 unit-exposure design, the P = I equations, the least-squares map and the
 output-trace weights) is computed once per protocol and cached for the
-named bases.  A protocol whose inputs or analyzers do not determine chi
+named bases (channels.is_named: the label and the operators must
+match).  A protocol whose inputs or analyzers do not determine chi
 raises SingularSystemError.
 """
 
@@ -58,6 +59,7 @@ from . import qmath
 from .channels import (
     ChiMatrix,
     OperatorBasis,
+    is_named,
     named_basis,
     pauli_basis,
     probability_operator,
@@ -144,14 +146,18 @@ class _FitPlan:
     """The constants of a fit that depend only on the protocol (operator
     basis, input labels, analyzer labels), not on the counts.
 
-    design maps frame coordinates to detection probabilities (unit
-    exposure); seed_map is its pseudo-inverse, which turns rates into the
-    least-squares chi; output_traces, the traces of the analyzers' dual
-    frame, turns rates into output-state traces.  Both are None when the
-    protocol does not determine chi.
+    frame_t and frame_conj, the transpose and conjugate of frame, turn
+    coordinates into matrices and back without a copy of the frame per
+    solver step.  design maps frame coordinates to detection
+    probabilities (unit exposure); seed_map is its pseudo-inverse, which
+    turns rates into the least-squares chi; output_traces, the traces of
+    the analyzers' dual frame, turns rates into output-state traces.  Both
+    are None when the protocol does not determine chi.
     """
 
     frame: np.ndarray
+    frame_t: np.ndarray
+    frame_conj: np.ndarray
     design: np.ndarray
     tp_equations: tuple[np.ndarray, np.ndarray]
     seed_map: np.ndarray | None
@@ -167,9 +173,11 @@ def _build_plan(basis: OperatorBasis, in_labels, an_labels) -> _FitPlan:
         seed_map = np.linalg.pinv(design)
         dual = analyzer_dual_frame(np.array([state_density(lab) for lab in an_labels]))
         output_traces = np.trace(dual, axis1=1, axis2=2).real
-    plan = _FitPlan(frame, design, _tp_equations(basis, frame), seed_map, output_traces)
+    plan = _FitPlan(frame, np.ascontiguousarray(frame.T), frame.conj(), design,
+                    _tp_equations(basis, frame), seed_map, output_traces)
     # cached plans are shared by every fit of the protocol
-    for arr in (frame, design, *plan.tp_equations, seed_map, output_traces):
+    for arr in (frame, plan.frame_t, plan.frame_conj, design, *plan.tp_equations,
+                seed_map, output_traces):
         if arr is not None:
             arr.flags.writeable = False
     return plan
@@ -182,7 +190,7 @@ def _named_plan(label: str, dim: int, in_labels: tuple, an_labels: tuple) -> _Fi
 
 def _plan_for(basis: OperatorBasis, in_labels: tuple, an_labels: tuple) -> _FitPlan:
     """The fit plan of a protocol, cached for the named bases."""
-    if basis.label in ("pauli", "elementary-scaled"):
+    if is_named(basis):
         return _named_plan(basis.label, basis.dim, in_labels, an_labels)
     return _build_plan(basis, in_labels, an_labels)
 
@@ -197,7 +205,6 @@ class _Misfit:
             basis = pauli_basis()
         self.basis = basis
         self.plan = _plan_for(basis, counts.inputs, counts.projectors)
-        self.frame = self.plan.frame
         model = counts.exposure * self.plan.design
         n_flat = counts.counts.reshape(-1)
         if weight_mode == "drop":
@@ -216,11 +223,11 @@ class _Misfit:
         return float(r @ wr), -2.0 * (self.model.T @ wr)
 
     def coords(self, mat: np.ndarray) -> np.ndarray:
-        return (self.frame.conj() @ np.asarray(mat).reshape(-1)).real
+        return (self.plan.frame_conj @ np.asarray(mat).reshape(-1)).real
 
     def matrix(self, x: np.ndarray) -> np.ndarray:
         n = self.basis.size
-        return (self.frame.T @ x).reshape(n, n)
+        return (self.plan.frame_t @ x).reshape(n, n)
 
     def chi(self, x: np.ndarray) -> ChiMatrix:
         return ChiMatrix(self.basis, self.matrix(x))

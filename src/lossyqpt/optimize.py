@@ -38,8 +38,18 @@ reproducible.
 The memory holds the last 10 steps, the default look-back of SCS; on chi
 fits that takes about a third fewer steps than a memory of 5.  The
 differences live in preallocated ring buffers, and the Gram matrix of
-the residual differences gains one row and column per step, so a step
-costs a few small array operations whatever the memory length.
+the residual differences gains one row and column per step.
+
+The x-step, the relaxation and the dual update are all affine in w, so
+one (2n x 2n) matrix and one offset, built once per solve, map w to both
+the x-step result x and the projection argument v = relaxed x + u.  A
+step is then one mat-vec, one projection and a few vector operations,
+and the new state is (z, v - z) with z the projection of v.  On chi fits
+(n = 16) a step costs 50-75 us on one core of a 2-vCPU Intel Xeon VM
+with numpy 2.4, the range being the VM's varying clock speed.  About
+40 % of that is the projection, half of it the eigensolver, and about
+15 % the Anderson solve of up to 10 normal equations; the rest is small
+array operations.
 """
 
 from __future__ import annotations
@@ -96,28 +106,30 @@ def minimize_adaptive(
     eigs = np.linalg.eigvalsh(hessian)
     top = max(float(eigs[-1]), 0.0)
     rho = np.sqrt(max(float(eigs[0]), _RHO_FLOOR * top) * top) or 1.0
-    kkt = hessian + rho * np.eye(n)
     b = -func(np.zeros(n))[1]
+    m = 0 if equations is None else equations[0].shape[0]
+    eye = np.eye(n)
+    kkt = np.zeros((n + m, n + m))
+    kkt[:n, :n] = hessian + rho * eye
     rhs = b
-    if equations is not None:
+    if m:
         e_mat, e_rhs = equations
-        m = e_mat.shape[0]
-        kkt = np.block([[kkt, e_mat.T], [e_mat, np.zeros((m, m))]])
+        kkt[n:, :n] = e_mat
+        kkt[:n, n:] = e_mat.T
         rhs = np.concatenate([b, e_rhs])
     step = np.linalg.inv(kkt)[:n]
-    # x = x_data + x_gain @ (z - u): the x-step with the data folded in
-    x_data, x_gain = step @ rhs, rho * step[:, :n]
+    # the x-step is x = x_data + gain (z - u); x and the projection argument
+    # v = relaxed x + u are then one affine map of the state w = (z, u),
+    # [x; v] = affine @ w + offset
+    x_data, gain = step @ rhs, rho * step[:, :n]
+    affine = np.empty((2 * n, 2 * n))
+    affine[:n, :n] = gain
+    affine[:n, n:] = -gain
+    affine[n:, :n] = _RELAX * gain + (1.0 - _RELAX) * eye
+    affine[n:, n:] = eye - _RELAX * gain
+    offset = np.concatenate([x_data, _RELAX * x_data])
     primal_tol2 = xtol**2
     dual_tol2 = (xtol * np.linalg.norm(b) / rho) ** 2
-
-    def admm_step(w):
-        z, u = w[:n], w[n:]
-        x = x_data + x_gain @ (z - u)
-        relaxed = _RELAX * x + (1.0 - _RELAX) * z
-        z_new = project(relaxed + u)
-        primal, moved = x - z_new, z_new - z
-        done = primal @ primal <= primal_tol2 and moved @ moved <= dual_tol2
-        return np.concatenate([z_new, u + relaxed - z_new]), bool(done)
 
     image = w = np.concatenate([project(x0), np.zeros(n)])
     # ring buffers of the recent differences of T(w) - w and of T(w), and
@@ -125,24 +137,30 @@ def minimize_adaptive(
     d_residual = np.empty((_MEMORY, 2 * n))
     d_image = np.empty((_MEMORY, 2 * n))
     gram = np.empty((_MEMORY, _MEMORY))
-    eye = np.eye(_MEMORY)
     filled = slot = 0  # differences held; the slot the next one goes to
     previous = None  # (T(w), T(w) - w) of the last point in the memory
-    accepted = accepted_norm = None  # T(w) and ||T(w) - w|| of the last accepted w
+    accepted = accepted_norm2 = None  # T(w) and ||T(w) - w||^2 of the last accepted w
     extrapolated = converged = False
     iterations = 0
     while not converged and iterations < maxfev:
         iterations += 1
-        image, converged = admm_step(w)
+        image = affine @ w + offset  # [x; v]
+        z_new = project(image[n:])
+        primal = image[:n] - z_new
+        # T(w) = (z_new, u + relaxed x - z_new) = (z_new, v - z_new)
+        image[:n] = z_new
+        image[n:] -= z_new
         residual = image - w
-        norm = np.linalg.norm(residual)
-        if extrapolated and norm > accepted_norm:
+        moved = residual[:n]  # z_new - z
+        converged = primal @ primal <= primal_tol2 and moved @ moved <= dual_tol2
+        norm2 = residual @ residual
+        if extrapolated and norm2 > accepted_norm2:
             # safeguard: drop w and the memory, step plainly from the last
             # accepted point
             filled = slot = 0
             previous, w, extrapolated = None, accepted, False
             continue
-        accepted, accepted_norm = image, norm
+        accepted, accepted_norm2 = image, norm2
         if previous is not None:
             np.subtract(residual, previous[1], out=d_residual[slot])
             np.subtract(image, previous[0], out=d_image[slot])
@@ -154,12 +172,10 @@ def minimize_adaptive(
         previous = (image, residual)
         w, extrapolated = image, filled > 0
         if extrapolated:
-            active = gram[:filled, :filled]
-            shift = _REGULARIZATION * active.trace()
-            coef = np.linalg.solve(
-                active + shift * eye[:filled, :filled], d_residual[:filled] @ residual
-            )
+            active = gram[:filled, :filled].copy()
+            active.flat[:: filled + 1] += _REGULARIZATION * active.trace()
+            coef = np.linalg.solve(active, d_residual[:filled] @ residual)
             w = image - coef @ d_image[:filled]
     z = image[:n]
     fun, _ = func(z)
-    return MinimizeResult(z, float(fun), iterations, 2, converged)
+    return MinimizeResult(z, float(fun), iterations, 2, bool(converged))

@@ -81,8 +81,9 @@ def psd_projection(m: np.ndarray) -> np.ndarray:
     """Nearest positive semidefinite matrix in Frobenius norm: the
     negative eigenvalues of Hermitian m clipped to zero.
 
-    This is the inner loop of the chi-space fits, so m is not validated
-    (herm_eig would check its Hermiticity on every call).
+    This is the inner loop of the chi-space fits, whose callers build m
+    from real frame coordinates, Hermitian by construction; so m is not
+    validated: herm_eig's check costs about as much as the eigensolver.
     """
     w, v = np.linalg.eigh(m)
     return (v * np.maximum(w, 0.0)) @ v.conj().T
@@ -121,10 +122,12 @@ def state_fidelity(
 
     Traces need not be one; callers that want a normalized figure divide
     by the traces themselves.  Symmetric in its arguments to numerical
-    precision.
+    precision.  Both arguments are validated, a by psd_sqrt and b here;
+    the inner product sqrt(a) b sqrt(a) is symmetrized before its spectrum
+    is taken, so that spectrum skips herm_eig's Hermiticity check.
     """
     a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    b = require_hermitian(b, "fidelity argument")
     if a.shape != b.shape:
         raise RepresentationError(
             f"fidelity arguments must have equal shapes, got {a.shape} and {b.shape}"
@@ -132,7 +135,7 @@ def state_fidelity(
     sa = psd_sqrt(a, clamp_tol)
     inner = sa @ b @ sa
     inner = 0.5 * (inner + inner.conj().T)
-    w = herm_eig(inner).eigenvalues
+    w = np.linalg.eigh(inner)[0]
     scale = max(1.0, float(w[-1])) if w.size else 1.0
     if w.size and w[0] < -clamp_tol * scale:
         raise NotPsdError(

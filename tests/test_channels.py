@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lossyqpt.channels import (
     ChiMatrix,
     KrausSet,
+    OperatorBasis,
     apply_channel,
     change_basis,
     chi_from_kraus,
     elementary_basis,
+    is_named,
     jamiolkowski_state,
     kraus_from_chi,
     maximally_entangled_state,
+    named_basis,
     pauli_basis,
     probability_operator,
     process_fidelity_ntp,
@@ -20,6 +25,8 @@ from lossyqpt.channels import (
 from lossyqpt.errors import NotPsdError, RepresentationError
 
 PB = pauli_basis()
+# the Pauli operators in the order (I, z, x, y), under the named basis's label
+REORDERED = OperatorBasis(2, PB.ops[[0, 3, 1, 2]], "pauli")
 
 
 def ppbs_kraus(t_h, t_v):
@@ -47,6 +54,12 @@ def random_channel(rng, rank, dim=2):
     return [op / scale for op in ops]
 
 
+def random_unitary(rng, n):
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def random_state(rng, dim=2):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
@@ -68,6 +81,18 @@ class TestBases:
     def test_elementary_d3(self):
         eb = elementary_basis(3)
         assert eb.ops.shape == (9, 3, 3)
+
+    def test_named_bases_are_named(self):
+        for basis in (PB, elementary_basis(2), elementary_basis(3),
+                      named_basis("elementary-scaled", 4)):
+            assert is_named(basis)
+            assert is_named(OperatorBasis(basis.dim, basis.ops.copy(), basis.label))
+
+    def test_label_alone_does_not_name_a_basis(self):
+        assert not is_named(REORDERED)
+        assert not is_named(OperatorBasis(2, elementary_basis(2).ops, "pauli"))
+        assert not is_named(OperatorBasis(2, PB.ops, "elementary-scaled"))
+        assert not is_named(OperatorBasis(2, PB.ops, "custom"))
 
     def test_bad_normalization_rejected(self):
         from lossyqpt.channels import OperatorBasis
@@ -229,6 +254,36 @@ class TestProbabilityOperator:
             )
 
 
+def _rotated(basis, rng):
+    """basis mixed by a random unitary: B_m = sum_k U_mk A_k, again a
+    basis with Tr[B_m B_n^dag] = d delta_mn."""
+    u = random_unitary(rng, basis.size)
+    return OperatorBasis(basis.dim, np.einsum("mk,kij->mij", u, basis.ops), "rotated")
+
+
+class TestProbabilityOperatorProperty:
+    @settings(deadline=None, max_examples=100)
+    @given(st.sampled_from(["pauli", "elementary-2", "elementary-3", "rotated-2",
+                            "rotated-3"]),
+           st.integers(0, 2**32 - 1))
+    def test_matches_explicit_sum(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        family, _, dim = kind.partition("-")
+        basis = PB if family == "pauli" else elementary_basis(int(dim))
+        if family == "rotated":
+            basis = _rotated(basis, rng)
+        n = basis.size
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        chi = ChiMatrix(basis, 0.5 * (g + g.conj().T))
+        expected = np.zeros((basis.dim, basis.dim), dtype=complex)
+        for m in range(n):
+            for k in range(n):
+                expected += chi.mat[m, k] * basis.ops[k].conj().T @ basis.ops[m]
+        p = probability_operator(chi)
+        assert np.abs(p.mat - expected).max() <= 1e-12
+        assert np.abs(p.eigenvalues - np.linalg.eigvalsh(expected)).max() <= 1e-12
+
+
 class TestJamiolkowski:
     def test_identity_gives_bell_state(self):
         chi = ChiMatrix(PB, np.diag([1.0, 0, 0, 0]).astype(complex))
@@ -320,6 +375,13 @@ class TestProcessFidelity:
         eb = elementary_basis(2)
         moved = process_fidelity_ntp(change_basis(a, eb), change_basis(b, eb))
         assert moved == pytest.approx(base, abs=1e-9)
+
+    def test_same_label_different_operators(self):
+        # REORDERED shares the named basis's label but not its operators
+        ref = chi_from_kraus([ppbs_kraus(1.0, 0.5)], PB)
+        moved = change_basis(ref, REORDERED)
+        assert process_fidelity_ntp(moved, ref) == pytest.approx(1.0, abs=1e-12)
+        assert process_fidelity_ntp(ref, moved) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_trace_rejected(self):
         chi = ChiMatrix(PB, np.zeros((4, 4), dtype=complex))

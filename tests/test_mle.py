@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from lossyqpt.channels import (
     ChiMatrix,
+    OperatorBasis,
+    change_basis,
     chi_from_kraus,
     elementary_basis,
     pauli_basis,
@@ -25,7 +27,13 @@ from lossyqpt.mle import (
     normalize_max_p,
 )
 from lossyqpt.qmath import psd_projection
-from lossyqpt.simulator import PpbsParams, SimConfig, ppbs_chi, simulate_counts
+from lossyqpt.simulator import (
+    PpbsParams,
+    SimConfig,
+    expected_counts,
+    ppbs_chi,
+    simulate_counts,
+)
 from lossyqpt.states import STATE_LABELS, state_density
 from lossyqpt.tomography import CountTable, reconstruct_linear
 
@@ -489,6 +497,21 @@ class TestLeastSquaresSeed:
         cfg = SimConfig(PpbsParams.from_gamma(0.5), seed=3, **protocol)
         with pytest.raises(SingularSystemError):
             fit(simulate_counts(cfg))
+
+
+class TestRelabelledBasis:
+    # the Pauli operators in the order (I, z, x, y), under the named basis's
+    # label: a fit must use this basis's own plan, not the named one's
+    REORDERED = OperatorBasis(2, PB.ops[[0, 3, 1, 2]], "pauli")
+
+    def test_linear_fit_is_exact_on_noiseless_table(self):
+        table = table_for(0.5)
+        truth = change_basis(ppbs_chi(PpbsParams.from_gamma(0.5)), self.REORDERED)
+        chi = fit_linear(table, self.REORDERED).chi
+        assert chi.basis is self.REORDERED
+        assert np.abs(chi.mat - truth.mat).max() <= 1e-12
+        mu = expected_counts(chi, table.exposure, table.inputs, table.projectors)
+        assert np.abs(mu - table.counts).max() <= 1e-8 * table.exposure
 
 
 class TestFitOptions:

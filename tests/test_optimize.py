@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lossyqpt.mle import hermitian_frame
-from lossyqpt.optimize import minimize_adaptive
+from lossyqpt.optimize import _RELAX, minimize_adaptive
 from lossyqpt.qmath import psd_projection
 
 FRAME = hermitian_frame(4)
@@ -73,3 +73,56 @@ class TestAnalyticOracle:
         res = minimize_adaptive(counted, np.zeros(16), np.eye(16), project)
         assert res.converged and res.iterations > 2
         assert res.evaluations == len(calls) == 2
+
+
+def textbook_admm(hessian, b, x0, equations, steps):
+    """z after `steps` relaxed-ADMM steps on 1/2 x.H.x - b.x over the cone
+    (and E x = e), from z = project(x0), u = 0, written out step by step."""
+    n = b.size
+    eigs = np.linalg.eigvalsh(hessian)
+    rho = np.sqrt(eigs[0] * eigs[-1])  # H is positive definite here
+    z, u = project(x0), np.zeros(n)
+    for _ in range(steps):
+        # x = argmin f(x) + rho/2 ||x - z + u||^2, subject to E x = e
+        if equations is None:
+            x = np.linalg.solve(hessian + rho * np.eye(n), b + rho * (z - u))
+        else:
+            e_mat, e_rhs = equations
+            m = e_mat.shape[0]
+            kkt = np.zeros((n + m, n + m))
+            kkt[:n, :n] = hessian + rho * np.eye(n)
+            kkt[:n, n:] = e_mat.T
+            kkt[n:, :n] = e_mat
+            x = np.linalg.solve(kkt, np.concatenate([b + rho * (z - u), e_rhs]))[:n]
+        relaxed = _RELAX * x + (1.0 - _RELAX) * z
+        z_new = project(relaxed + u)
+        u = u + relaxed - z_new
+        z = z_new
+    return z
+
+
+class TestOneStepOracle:
+    # Anderson acceleration first moves the point stepped from at step 3,
+    # so the first two steps are plain relaxed ADMM
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("constrained", [False, True])
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_first_steps_are_textbook_admm(self, seed, constrained, steps):
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(16, 16))
+        hessian = g @ g.T + 4.0 * np.eye(16)
+        b = rng.normal(size=16) * 3.0
+        x0 = rng.normal(size=16)
+        equations = None
+        if constrained:
+            equations = (rng.normal(size=(4, 16)), rng.normal(size=4))
+
+        def f(x):
+            return 0.5 * x @ hessian @ x - b @ x, hessian @ x - b
+
+        res = minimize_adaptive(f, x0, hessian, project, equations=equations,
+                                xtol=1e-15, maxfev=steps)
+        expected = textbook_admm(hessian, b, x0, equations, steps)
+        assert res.iterations == steps and not res.converged
+        assert np.abs(res.x - expected).max() <= 1e-12
+        assert res.fun == f(res.x)[0]

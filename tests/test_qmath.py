@@ -163,3 +163,12 @@ class TestStateFidelity:
     def test_dimension_mismatch(self):
         with pytest.raises(RepresentationError):
             state_fidelity(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
+
+    def test_non_hermitian_argument_rejected(self):
+        # the inner product is symmetrized, so without its own check a
+        # non-Hermitian b would be scored as if it were Hermitian
+        a = np.eye(2, dtype=complex) / 2
+        b = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
+        for args in ((a, b), (b, a)):
+            with pytest.raises(RepresentationError):
+                state_fidelity(*args)
