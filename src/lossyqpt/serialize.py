@@ -5,7 +5,8 @@ stored row-major with each entry as an [re, im] pair; floats go through
 Python's shortest round-trip repr, so writing and re-reading a value is
 exact and identical inputs produce byte-identical files.  Chi matrices
 are identified by (dim, basis label); only the named bases ("pauli",
-"elementary-scaled") can be reconstructed from a label.
+"elementary-scaled") can be reconstructed from a label, so a chi in any
+other basis is written in the named basis of its label, or refused.
 """
 
 from __future__ import annotations
@@ -15,7 +16,13 @@ import sys
 
 import numpy as np
 
-from .channels import ChiMatrix, ProbabilityOperator, named_basis
+from .channels import (
+    ChiMatrix,
+    ProbabilityOperator,
+    change_basis,
+    is_named,
+    named_basis,
+)
 from .errors import DataError
 from .tomography import CountTable
 
@@ -50,6 +57,12 @@ def _check_kind(doc: dict, kind: str):
 
 
 def chi_to_dict(chi: ChiMatrix) -> dict:
+    """The chi file of chi.  A basis whose operators are not those its
+    label names (say, a reordered Pauli basis labelled "pauli") is changed
+    into the named basis first; a label that names no basis raises
+    RepresentationError."""
+    if not is_named(chi.basis):
+        chi = change_basis(chi, named_basis(chi.basis.label, chi.dim))
     return {
         "schema": SCHEMA_VERSION,
         "kind": "chi_matrix",

@@ -12,8 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lossyqpt import serialize
-from lossyqpt.channels import ChiMatrix, pauli_basis
+from lossyqpt.channels import (
+    ChiMatrix,
+    OperatorBasis,
+    change_basis,
+    pauli_basis,
+    process_fidelity_ntp,
+)
 from lossyqpt.cli import main
+from lossyqpt.errors import RepresentationError
 from lossyqpt.simulator import PpbsParams, SimConfig, ppbs_chi, simulate_counts
 from lossyqpt.states import STATE_LABELS
 
@@ -698,6 +705,24 @@ class TestRoundTrip:
         p2 = tmp_path / "chi2.json"
         serialize.write_json(p2, serialize.chi_to_dict(loaded))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_chi_in_relabelled_basis_is_written_in_the_named_basis(self):
+        # a Pauli basis reordered to (I, z, x, y) but labelled "pauli": the
+        # file must hold chi in the Pauli basis the label names
+        reordered = OperatorBasis(2, pauli_basis().ops[[0, 3, 1, 2]], "pauli")
+        ref = ppbs_chi(PpbsParams.from_gamma(0.5))
+        doc = json.loads(json.dumps(
+            serialize.chi_to_dict(change_basis(ref, reordered))))
+        loaded = serialize.chi_from_dict(doc)
+        assert loaded.basis is pauli_basis()
+        assert np.abs(loaded.mat - ref.mat).max() < 1e-12
+        assert process_fidelity_ntp(loaded, ref) == pytest.approx(1.0, abs=1e-12)
+
+    def test_chi_in_unnamed_basis_is_refused(self):
+        custom = OperatorBasis(2, pauli_basis().ops[[0, 3, 1, 2]], "custom")
+        chi = change_basis(ppbs_chi(PpbsParams.from_gamma(0.5)), custom)
+        with pytest.raises(RepresentationError, match="custom"):
+            serialize.chi_to_dict(chi)
 
     def test_count_table_round_trip(self, tmp_path):
         from lossyqpt.simulator import SimConfig, simulate_counts

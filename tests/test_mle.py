@@ -367,8 +367,8 @@ def _assert_kkt(grad, chi, tol=1e-6, scale=None):
     assert abs(np.trace(grad @ chi).real) <= tol * norm * np.trace(chi).real
 
 
-def _assert_tp_kkt(chi, table, scale=None):
-    grad = likelihood_gradient(chi, table)
+def _assert_tp_kkt(chi, table, tol=1e-6, scale=None, weight_mode="floor"):
+    grad = likelihood_gradient(chi, table, weight_mode=weight_mode)
     paulis = PB.ops
     # least-squares multiplier lam of P = I from complementarity,
     # (grad - L*(lam)) chi = 0, over Hermitian 2x2 lam
@@ -377,7 +377,7 @@ def _assert_tp_kkt(chi, table, scale=None):
     coef, *_ = np.linalg.lstsq(np.vstack([cols.real, cols.imag]),
                                np.concatenate([rhs.real, rhs.imag]), rcond=None)
     slack = grad - _lagrange_adjoint(np.tensordot(coef, paulis, axes=(0, 0)))
-    _assert_kkt(slack, chi, scale=scale)
+    _assert_kkt(slack, chi, tol=tol, scale=scale)
 
 
 @st.composite
@@ -409,15 +409,45 @@ class TestOptimalityCertificate:
             table = table_for(gamma, seed=seed)
             _assert_tp_kkt(fit_trace_preserving(table).chi.mat, table)
 
+    # sparse (1e2) to dense (1e7) tables, with dark cells floored or dropped,
+    # at a lossless, a lossy and an almost opaque channel.  The solver stops
+    # on residuals relative to the data's gradient scale ||grad f(0)||; at
+    # 1e7 with dropped cells the gradient at the optimum is 1e-4 of that,
+    # so the certificate is measured against ||grad f(0)||, to 100 xtol
+    # (the worst case here reaches 22 xtol)
+    GRID = [
+        (gamma, exposure, mode)
+        for gamma in (1.0, 0.255, 0.02)
+        for exposure in (1e2, 1e4, 1e7)
+        for mode in ("floor", "drop")
+    ]
+
+    @pytest.mark.parametrize("gamma,exposure,weight_mode", GRID)
+    def test_global_optimum_over_exposures(self, gamma, exposure, weight_mode):
+        opts = FitOptions(weight_mode=weight_mode)
+        for seed in (41, 42, 43):
+            table = table_for(gamma, seed=seed, exposure=exposure)
+            scale = np.linalg.norm(likelihood_gradient(np.zeros((4, 4)), table))
+            report = fit_unconstrained(table, opts=opts)
+            assert report.converged and report.iterations <= 150
+            raw = report.chi.mat * report.normalization_scale
+            grad = likelihood_gradient(raw, table, weight_mode=weight_mode)
+            _assert_kkt(grad, raw, tol=1e-7, scale=scale)
+            tp = fit_trace_preserving(table, opts=opts)
+            assert tp.converged and tp.iterations <= 150
+            _assert_tp_kkt(tp.chi.mat, table, tol=1e-7, scale=scale,
+                           weight_mode=weight_mode)
+
     @pytest.mark.parametrize("gamma", [1.0, 0.55, 0.1])
     def test_iteration_budget(self, gamma):
         # unaccelerated ADMM takes 364-848 steps on these tables, Anderson
-        # acceleration with a memory of 5 steps 43-109 and with 10 steps 31-77
+        # acceleration with a memory of 5 steps 43-109, with 10 steps 31-77
+        # and with 15 steps 24-62
         for seed in (41, 42, 43):
             table = table_for(gamma, seed=seed)
             for report in (fit_unconstrained(table), fit_trace_preserving(table)):
                 assert report.converged
-                assert report.iterations <= 100
+                assert report.iterations <= 70
 
     @settings(deadline=None, max_examples=25)
     @given(lossy_channels(), st.integers(0, 2**32 - 1))
