@@ -161,7 +161,8 @@ class ChiMatrix:
 
     @cached_property
     def _spectrum(self) -> qmath.EigDecomposition:
-        return qmath.herm_eig(self.mat)
+        # mat was checked and symmetrized at construction
+        return qmath.EigDecomposition(*np.linalg.eigh(self.mat))
 
     def min_eigenvalue(self) -> float:
         return float(self._spectrum.eigenvalues[0])

@@ -146,18 +146,18 @@ class _FitPlan:
     """The constants of a fit that depend only on the protocol (operator
     basis, input labels, analyzer labels), not on the counts.
 
-    frame_t and frame_conj, the transpose and conjugate of frame, turn
-    coordinates into matrices and back without a copy of the frame per
-    solver step.  design maps frame coordinates to detection
+    lift, the frame with each complex entry split into its real and
+    imaginary parts (2 n^2 x n^2 for n x n chi), turns coordinates into
+    matrices and back in real arithmetic: lift @ x, viewed as complex, is
+    vec(sum_k x_k F_k), and vec(M), viewed as real, @ lift is the vector
+    of Re Tr[F_k M].  design maps frame coordinates to detection
     probabilities (unit exposure); seed_map is its pseudo-inverse, which
     turns rates into the least-squares chi; output_traces, the traces of
     the analyzers' dual frame, turns rates into output-state traces.  Both
     are None when the protocol does not determine chi.
     """
 
-    frame: np.ndarray
-    frame_t: np.ndarray
-    frame_conj: np.ndarray
+    lift: np.ndarray
     design: np.ndarray
     tp_equations: tuple[np.ndarray, np.ndarray]
     seed_map: np.ndarray | None
@@ -173,11 +173,10 @@ def _build_plan(basis: OperatorBasis, in_labels, an_labels) -> _FitPlan:
         seed_map = np.linalg.pinv(design)
         dual = analyzer_dual_frame(np.array([state_density(lab) for lab in an_labels]))
         output_traces = np.trace(dual, axis1=1, axis2=2).real
-    plan = _FitPlan(frame, np.ascontiguousarray(frame.T), frame.conj(), design,
-                    _tp_equations(basis, frame), seed_map, output_traces)
+    lift = np.ascontiguousarray(frame.view(float).T)
+    plan = _FitPlan(lift, design, _tp_equations(basis, frame), seed_map, output_traces)
     # cached plans are shared by every fit of the protocol
-    for arr in (frame, plan.frame_t, plan.frame_conj, design, *plan.tp_equations,
-                seed_map, output_traces):
+    for arr in (lift, design, *plan.tp_equations, seed_map, output_traces):
         if arr is not None:
             arr.flags.writeable = False
     return plan
@@ -223,11 +222,12 @@ class _Misfit:
         return float(r @ wr), -2.0 * (self.model.T @ wr)
 
     def coords(self, mat: np.ndarray) -> np.ndarray:
-        return (self.plan.frame_conj @ np.asarray(mat).reshape(-1)).real
+        vec = np.ascontiguousarray(mat, complex).reshape(-1)
+        return vec.view(float).dot(self.plan.lift)
 
     def matrix(self, x: np.ndarray) -> np.ndarray:
         n = self.basis.size
-        return (self.plan.frame_t @ x).reshape(n, n)
+        return self.plan.lift.dot(x).view(complex).reshape(n, n)
 
     def chi(self, x: np.ndarray) -> ChiMatrix:
         return ChiMatrix(self.basis, self.matrix(x))

@@ -35,29 +35,42 @@ accepted point is taken, so with an empty memory the method is plain
 ADMM.  Nothing depends on wall clock, so a solve is bit-for-bit
 reproducible.
 
-The memory holds the last 15 steps.  Over the MLE and TP fits of 120
-benchmark tables (5 values of Gamma, 24 seeds each) the step totals are
-18 676 with a memory of 5, 12 497 with 10 (the default look-back of
-SCS), 11 182 with 14, 11 146 with 15, 11 269 with 16 and 11 553 with
-20; all 240 fits converge at each.  The differences live in
-preallocated ring buffers, and the Gram matrix of the residual
-differences gains one row and column per step.  Its diagonal entry is
-shifted once, when the row is written, so each step solves the leading
-block of the Gram matrix as it stands: no copy, no per-step shift.  The
-Gram matrix stays positive definite as long as no residual difference
-is exactly zero.
+The memory holds the last 20 steps, and the Gram matrix of the residual
+differences is damped: each diagonal entry is scaled by 1 + lambda with
+lambda = 1e-2, a Tikhonov term as in regularized nonlinear acceleration
+(Scieur, d'Aspremont & Bach, Math. Program. 179, 47 (2020); Fu, Zhang &
+Boyd, SIAM J. Sci. Comput. 42, A3560 (2020)).  It shrinks extrapolations
+built from stale, nearly collinear differences, which the safeguard
+would otherwise throw away, and keeps the normal equations solvable.
+Over the MLE and TP fits of 120 benchmark tables (5 values of Gamma, 24
+seeds each) the step totals with a memory of 15 are 11 146 at
+lambda = 1e-10 (a guard only), 10 823 at 1e-6, 10 264 at 1e-3, 10 484
+at 1e-2, 12 082 at 1e-1 and 13 578 at 3e-1; with a memory of 20 they
+are 9 902 at 1e-3, 9 715 at 5e-3, 9 716 at 1e-2 and 9 926 at 2e-2.
+Memories of 25 and 30 save a few more steps (9 573 and 9 544), but each
+step costs more.  At (1e-2, 20) the largest fit over 300 further tables
+takes 92 steps; at (3e-3, 20) it takes 159, so the larger damping is
+kept.  All fits converge at each setting.  The differences live in
+preallocated ring buffers, and the Gram matrix gains one row and column
+per step; the row is damped before it is written, so each step solves
+the leading block of the Gram matrix as it stands: no copy, no per-step
+shift.
 
 The x-step, the relaxation and the dual update are all affine in w, so
 one (2n x 2n) matrix and one offset, built once per solve, map w to both
 the x-step result x and the projection argument v = relaxed x + u.  A
 step is then one mat-vec, one projection and a few vector operations,
-and the new state is (z, v - z) with z the projection of v.  On chi fits
-(n = 16) a step costs 70-80 us on one core of a 2-vCPU Intel Xeon VM
+and the new state is (z, v - z) with z the projection of v.  Products
+in the loop call ndarray.dot, which gives the same bits as @ on these
+arrays and skips the ufunc dispatch of @, about 1 us a call.  On chi fits
+(n = 16) a step costs 60-75 us on one core of a 2-vCPU Intel Xeon VM
 with numpy 2.4, the range being the VM's varying clock speed.  Timed
-section by section over those 120 tables, about 47 % of that is the
-projection (eigensolver, clip and frame products), 19 % the solve of up
-to 15 normal equations, 11 % the Gram row update, 12 % the residuals and
-the stopping test, and the rest the mat-vec and the Anderson combination.
+section by section over those 120 tables, about 46 % of that is the
+projection (eigensolver, clip and the real lift products), 25 % the
+solve of up to 20 normal equations, 10 % the Gram row update, 9 % the
+residuals and the stopping test, and the rest the mat-vec and the
+Anderson combination.  Of the solve and of the eigensolver, about half
+is the Python wrapper of np.linalg around the LAPACK call.
 """
 
 from __future__ import annotations
@@ -75,11 +88,12 @@ _RHO_FLOOR = 1e-12
 # third of the iterations here
 _RELAX = 1.6
 # number of past steps Anderson acceleration combines
-_MEMORY = 15
-# relative shift of each diagonal entry of the Anderson Gram matrix, made
-# once when its row is written, which keeps the normal equations solvable
-# when residual differences are nearly collinear
-_REGULARIZATION = 1e-10
+_MEMORY = 20
+# relative damping of each diagonal entry of the Anderson Gram matrix,
+# made once when its row is written: it shrinks extrapolations along
+# nearly collinear residual differences and keeps the normal equations
+# solvable
+_REGULARIZATION = 1e-2
 
 
 @dataclass(frozen=True)
@@ -153,16 +167,19 @@ def minimize_adaptive(
     iterations = 0
     while not converged and iterations < maxfev:
         iterations += 1
-        image = affine @ w + offset  # [x; v]
-        z_new = project(image[n:])
-        primal = image[:n] - z_new
+        image = affine.dot(w)
+        image += offset  # [x; v]
+        x, v = image[:n], image[n:]
+        z_new = project(v)
+        primal = x - z_new
         # T(w) = (z_new, u + relaxed x - z_new) = (z_new, v - z_new)
-        image[:n] = z_new
-        image[n:] -= z_new
+        x[:] = z_new
+        v -= z_new
         residual = image - w
         moved = residual[:n]  # z_new - z
-        converged = primal @ primal <= primal_tol2 and moved @ moved <= dual_tol2
-        norm2 = residual @ residual
+        converged = (primal.dot(primal) <= primal_tol2
+                     and moved.dot(moved) <= dual_tol2)
+        norm2 = residual.dot(residual)
         if extrapolated and norm2 > accepted_norm2:
             # safeguard: drop w and the memory, step plainly from the last
             # accepted point
@@ -174,18 +191,18 @@ def minimize_adaptive(
             np.subtract(residual, previous[1], out=d_residual[slot])
             np.subtract(image, previous[0], out=d_image[slot])
             filled = min(filled + 1, _MEMORY)
-            row = d_residual[:filled] @ d_residual[slot]
+            row = d_residual[:filled].dot(d_residual[slot])
+            row[slot] *= 1.0 + _REGULARIZATION
             gram[slot, :filled] = row
             gram[:filled, slot] = row
-            gram[slot, slot] *= 1.0 + _REGULARIZATION
             slot = (slot + 1) % _MEMORY
         previous = (image, residual)
         w, extrapolated = image, filled > 0
         if extrapolated:
             coef = np.linalg.solve(
-                gram[:filled, :filled], d_residual[:filled] @ residual
+                gram[:filled, :filled], d_residual[:filled].dot(residual)
             )
-            w = image - coef @ d_image[:filled]
+            w = image - coef.dot(d_image[:filled])
     z = image[:n]
     fun, _ = func(z)
     return MinimizeResult(z, float(fun), iterations, 2, bool(converged))

@@ -43,7 +43,8 @@ def hermitian_deviation(m: np.ndarray) -> float:
 
 
 def require_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """Validate shape and Hermiticity, returning the symmetrized matrix.
+    """Validate shape, finiteness and Hermiticity, returning the
+    symmetrized matrix.
 
     The returned copy is (M + M^dag)/2, which removes rounding-level
     asymmetry without changing anything above the validation tolerance.
@@ -51,7 +52,10 @@ def require_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise RepresentationError(f"{what} must be square, got shape {m.shape}")
-    scale = max(1.0, float(np.abs(m).max()))
+    peak = float(np.abs(m).max())  # NaN or inf if any entry is
+    if not np.isfinite(peak):
+        raise RepresentationError(f"{what} has a non-finite entry")
+    scale = max(1.0, peak)
     if hermitian_deviation(m) > _HERM_TOL * scale:
         raise RepresentationError(
             f"{what} is not Hermitian within tolerance "
@@ -71,7 +75,7 @@ def herm_eig(m: np.ndarray) -> EigDecomposition:
         eigenvector columns.
 
     Raises:
-        RepresentationError: non-square or non-Hermitian input.
+        RepresentationError: non-square, non-finite or non-Hermitian input.
     """
     w, v = np.linalg.eigh(require_hermitian(m, "herm_eig input"))
     return EigDecomposition(w, v)
@@ -86,7 +90,7 @@ def psd_projection(m: np.ndarray) -> np.ndarray:
     validated: herm_eig's check costs about as much as the eigensolver.
     """
     w, v = np.linalg.eigh(m)
-    return (v * np.maximum(w, 0.0)) @ v.conj().T
+    return (v * np.maximum(w, 0.0)).dot(v.conj().T)
 
 
 def psd_sqrt(

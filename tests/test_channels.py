@@ -101,6 +101,17 @@ class TestBases:
             OperatorBasis(2, np.array([np.eye(2)] * 4, dtype=complex), "broken")
 
 
+class TestChiMatrix:
+    @pytest.mark.parametrize("mat", [
+        np.full((4, 4), np.nan),
+        np.diag([np.inf, 0.0, 0.0, 0.0]),
+        np.diag([1.0, -np.inf, 0.0, 0.0]),
+    ], ids=["nan", "inf-diagonal", "minus-inf-diagonal"])
+    def test_non_finite_matrix_rejected(self, mat):
+        with pytest.raises(RepresentationError, match="non-finite"):
+            ChiMatrix(PB, mat)
+
+
 class TestApplyChannel:
     def test_identity_channel(self):
         chi = ChiMatrix(PB, np.diag([1.0, 0, 0, 0]).astype(complex))

@@ -16,6 +16,7 @@ from lossyqpt.channels import (
 from lossyqpt.errors import DataError, DegenerateFitError, SingularSystemError
 from lossyqpt.mle import (
     FitOptions,
+    _Misfit,
     _plan_for,
     fit_linear,
     fit_post_selected,
@@ -85,6 +86,39 @@ class TestProjection:
         assert np.abs(frame.conj() @ frame.T - np.eye(16)).max() < 1e-15
         mats = frame.reshape(16, 4, 4)
         assert np.array_equal(mats, mats.conj().transpose(0, 2, 1))
+
+
+def _rotated_basis():
+    """The Pauli basis mixed by a fixed random 4 x 4 unitary: a basis that
+    is not named, with complex combinations of the Pauli operators."""
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    return OperatorBasis(2, np.tensordot(q, PB.ops, axes=(1, 0)), "rotated")
+
+
+class TestLift:
+    """The real lift matrix of the fit plan against the complex frame."""
+
+    FRAME = hermitian_frame(4)
+    MISFITS = [_Misfit(table_for(0.5), basis, "floor")
+               for basis in (PB, elementary_basis(2), _rotated_basis())]
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from(MISFITS),
+           st.lists(st.floats(-10.0, 10.0), min_size=16, max_size=16),
+           st.lists(st.floats(-10.0, 10.0), min_size=32, max_size=32))
+    def test_lift_matches_complex_frame(self, misfit, x, m):
+        x = np.array(x)
+        m = np.array(m[:16]).reshape(4, 4) + 1j * np.array(m[16:]).reshape(4, 4)
+        tol = 1e-14 * max(1.0, np.abs(x).max(), np.abs(m).max())
+        mats = self.FRAME.reshape(16, 4, 4)
+        assert np.abs(misfit.matrix(x) - np.tensordot(x, mats, axes=1)).max() <= tol
+        traces = np.einsum("kij,ji->k", mats, m).real  # Re Tr[F_k M]
+        assert np.abs(misfit.coords(m) - traces).max() <= tol
+        assert np.abs(misfit.coords(misfit.matrix(x)) - x).max() <= tol
+        old = psd_projection((self.FRAME.T @ x).reshape(4, 4))
+        old = (self.FRAME.conj() @ old.reshape(-1)).real
+        assert np.abs(misfit.project(x) - old).max() <= tol
 
 
 class TestLikelihood:
@@ -414,7 +448,7 @@ class TestOptimalityCertificate:
     # on residuals relative to the data's gradient scale ||grad f(0)||; at
     # 1e7 with dropped cells the gradient at the optimum is 1e-4 of that,
     # so the certificate is measured against ||grad f(0)||, to 100 xtol
-    # (the worst case here reaches 22 xtol)
+    # (the worst case here reaches 21 xtol)
     GRID = [
         (gamma, exposure, mode)
         for gamma in (1.0, 0.255, 0.02)
@@ -429,20 +463,21 @@ class TestOptimalityCertificate:
             table = table_for(gamma, seed=seed, exposure=exposure)
             scale = np.linalg.norm(likelihood_gradient(np.zeros((4, 4)), table))
             report = fit_unconstrained(table, opts=opts)
-            assert report.converged and report.iterations <= 150
+            assert report.converged and report.iterations <= 110
             raw = report.chi.mat * report.normalization_scale
             grad = likelihood_gradient(raw, table, weight_mode=weight_mode)
             _assert_kkt(grad, raw, tol=1e-7, scale=scale)
             tp = fit_trace_preserving(table, opts=opts)
-            assert tp.converged and tp.iterations <= 150
+            assert tp.converged and tp.iterations <= 110
             _assert_tp_kkt(tp.chi.mat, table, tol=1e-7, scale=scale,
                            weight_mode=weight_mode)
 
     @pytest.mark.parametrize("gamma", [1.0, 0.55, 0.1])
     def test_iteration_budget(self, gamma):
         # unaccelerated ADMM takes 364-848 steps on these tables, Anderson
-        # acceleration with a memory of 5 steps 43-109, with 10 steps 31-77
-        # and with 15 steps 24-62
+        # acceleration with a memory of 5 steps 43-109, with 10 steps 31-77,
+        # with 15 steps 24-62, and with 20 steps and a Gram damping of 1e-2
+        # 25-62
         for seed in (41, 42, 43):
             table = table_for(gamma, seed=seed)
             for report in (fit_unconstrained(table), fit_trace_preserving(table)):
@@ -505,7 +540,7 @@ class TestLeastSquaresSeed:
         table = CountTable(2, inputs, tuple(analyzers), exposure, counts)
         plan = _plan_for(basis, table.inputs, table.projectors)
         x = plan.seed_map @ (table.counts.reshape(-1) / exposure)
-        chi = (plan.frame.T @ x).reshape(4, 4)
+        chi = (hermitian_frame(4).T @ x).reshape(4, 4)
         linear = reconstruct_linear(table, basis).chi.mat
         assert np.abs(chi - linear).max() <= 1e-10 * max(1.0, np.abs(linear).max())
         # the linear fits take the same map, the post-selected one after

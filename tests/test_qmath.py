@@ -69,6 +69,18 @@ class TestHermEig:
         with pytest.raises(RepresentationError):
             herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
+    @pytest.mark.parametrize("entry,where", [
+        (np.nan, (slice(None), slice(None))),
+        (np.inf, (0, 0)),
+        (-np.inf, (1, 1)),
+        (complex(0.0, np.nan), (0, 1)),
+    ])
+    def test_rejects_non_finite(self, entry, where):
+        m = np.eye(2, dtype=complex)
+        m[where] = entry
+        with pytest.raises(RepresentationError, match="non-finite"):
+            herm_eig(m)
+
     def test_degenerate_subspace_projector(self):
         # eigenvectors inside a degenerate block are arbitrary, the
         # projector onto the block is not

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from lossyqpt.channels import (
     ChiMatrix,
+    OperatorBasis,
     apply_channel,
+    change_basis,
     chi_from_kraus,
     elementary_basis,
     pauli_basis,
@@ -256,6 +258,17 @@ class TestForwardModel:
         misfit = _Misfit(table, chi.basis, "floor")
         model = misfit.model @ misfit.coords(chi.mat)
         assert np.abs(model - mu.ravel()).max() <= 1e-12 * exposure
+
+    def test_reordered_basis_under_a_named_label(self):
+        # the Pauli operators in the order (I, z, x, y), labelled "pauli":
+        # the counts must come from this basis's own design, not from the
+        # one cached for the named Pauli basis
+        reordered = OperatorBasis(2, PB.ops[[0, 3, 1, 2]], "pauli")
+        chi = ppbs_chi(PpbsParams.from_gamma(0.3))
+        named = expected_counts(chi, 1e4)
+        mu = expected_counts(change_basis(chi, reordered), 1e4)
+        assert np.abs(mu - named).max() <= 1e-12 * 1e4
+        assert np.abs(expected_counts(chi, 1e4) - named).max() == 0.0
 
     def test_protocol_dimension_must_match_channel(self):
         chi = ChiMatrix(elementary_basis(3), np.eye(9, dtype=complex) / 9.0)
