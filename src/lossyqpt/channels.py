@@ -44,16 +44,22 @@ PAULI = np.array(
 PAULI.flags.writeable = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorBasis:
-    """A complete operator basis {A_m} with Tr[A_m A_n^dag] = d delta_mn."""
+    """A complete operator basis {A_m} with Tr[A_m A_n^dag] = d delta_mn.
+
+    Bases compare and hash by identity, so the constants derived from one
+    (fit plans, designs) are cached per basis object; the operators are a
+    read-only copy, so a cached constant cannot go stale.
+    """
 
     dim: int
     ops: np.ndarray  # shape (d*d, d, d)
     label: str
 
     def __post_init__(self):
-        ops = np.asarray(self.ops, dtype=complex)
+        ops = np.array(self.ops, dtype=complex)
+        ops.flags.writeable = False
         d = self.dim
         if ops.shape != (d * d, d, d):
             raise RepresentationError(
@@ -82,22 +88,20 @@ class OperatorBasis:
 
 @lru_cache(maxsize=None)
 def pauli_basis() -> OperatorBasis:
-    """The qubit basis {I, sigma_x, sigma_y, sigma_z}: one shared instance,
-    with read-only operators."""
+    """The qubit basis {I, sigma_x, sigma_y, sigma_z}: one shared instance."""
     return OperatorBasis(2, PAULI, "pauli")
 
 
 @lru_cache(maxsize=8)
 def elementary_basis(d: int) -> OperatorBasis:
     """The scaled matrix units sqrt(d)|i><j| in lexicographic (i, j) order:
-    one shared instance per d, with read-only operators."""
+    one shared instance per d."""
     if d < 2:
         raise RepresentationError("elementary basis needs d >= 2")
     ops = np.zeros((d * d, d, d), dtype=complex)
     for i in range(d):
         for j in range(d):
             ops[i * d + j, i, j] = np.sqrt(d)
-    ops.flags.writeable = False
     return OperatorBasis(d, ops, "elementary-scaled")
 
 

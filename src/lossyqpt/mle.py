@@ -42,10 +42,9 @@ complete protocol.  The chi-space fits start from its positive
 semidefinite projection and are deterministic given the count table.
 Everything that depends only on the protocol (the frame, the
 unit-exposure design, the P = I equations, the least-squares map and the
-output-trace weights) is computed once per protocol and cached for the
-named bases (channels.is_named: the label and the operators must
-match).  A protocol whose inputs or analyzers do not determine chi
-raises SingularSystemError.
+output-trace weights) is computed once per protocol and cached per basis
+object.  A protocol whose inputs or analyzers do not determine chi raises
+SingularSystemError.
 """
 
 from __future__ import annotations
@@ -59,8 +58,6 @@ from . import qmath
 from .channels import (
     ChiMatrix,
     OperatorBasis,
-    is_named,
-    named_basis,
     pauli_basis,
     probability_operator,
 )
@@ -144,7 +141,8 @@ def hermitian_frame(n: int) -> np.ndarray:
 @dataclass(frozen=True)
 class _FitPlan:
     """The constants of a fit that depend only on the protocol (operator
-    basis, input labels, analyzer labels), not on the counts.
+    basis, input labels, analyzer labels), not on the counts; cached per
+    basis object by _plan_for.
 
     lift, the frame with each complex entry split into its real and
     imaginary parts (2 n^2 x n^2 for n x n chi), turns coordinates into
@@ -183,14 +181,8 @@ def _build_plan(basis: OperatorBasis, in_labels, an_labels) -> _FitPlan:
 
 
 @lru_cache(maxsize=32)
-def _named_plan(label: str, dim: int, in_labels: tuple, an_labels: tuple) -> _FitPlan:
-    return _build_plan(named_basis(label, dim), in_labels, an_labels)
-
-
 def _plan_for(basis: OperatorBasis, in_labels: tuple, an_labels: tuple) -> _FitPlan:
-    """The fit plan of a protocol, cached for the named bases."""
-    if is_named(basis):
-        return _named_plan(basis.label, basis.dim, in_labels, an_labels)
+    """The fit plan of a protocol, cached per basis object."""
     return _build_plan(basis, in_labels, an_labels)
 
 

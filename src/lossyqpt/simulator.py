@@ -27,8 +27,6 @@ from .channels import (
     ChiMatrix,
     OperatorBasis,
     ProbabilityOperator,
-    is_named,
-    named_basis,
     pauli_basis,
     probability_operator,
 )
@@ -132,19 +130,11 @@ def ppbs_probability_operator(p: PpbsParams) -> ProbabilityOperator:
 
 
 @lru_cache(maxsize=32)
-def _named_design(label: str, dim: int, inputs: tuple, analyzers: tuple) -> np.ndarray:
-    design = measurement_design(named_basis(label, dim), kets_for(inputs),
-                                kets_for(analyzers))
-    # shared by every later call with this protocol
+def _design(basis: OperatorBasis, inputs: tuple, analyzers: tuple) -> np.ndarray:
+    design = measurement_design(basis, kets_for(inputs), kets_for(analyzers))
+    # cached per basis object, shared by every later call with this protocol
     design.flags.writeable = False
     return design
-
-
-def _design(basis: OperatorBasis, inputs, analyzers) -> np.ndarray:
-    """measurement_design of a protocol, cached for the named bases."""
-    if is_named(basis):
-        return _named_design(basis.label, basis.dim, tuple(inputs), tuple(analyzers))
-    return measurement_design(basis, kets_for(inputs), kets_for(analyzers))
 
 
 def expected_counts(
@@ -155,7 +145,7 @@ def expected_counts(
 ) -> np.ndarray:
     """Expected coincidences N * Tr[Pi_b E(rho_a)] for a generic channel,
     indexed (input, analyzer); the same design matrix the fits use."""
-    design = _design(chi.basis, inputs, analyzers)
+    design = _design(chi.basis, tuple(inputs), tuple(analyzers))
     mu = exposure * (design @ chi.mat.reshape(-1)).real
     return np.clip(mu, 0.0, None).reshape(len(inputs), len(analyzers))
 

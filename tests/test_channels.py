@@ -94,6 +94,22 @@ class TestBases:
         assert not is_named(OperatorBasis(2, PB.ops, "elementary-scaled"))
         assert not is_named(OperatorBasis(2, PB.ops, "custom"))
 
+    def test_bases_compare_by_identity(self):
+        # equal operators and label, yet distinct objects: comparing them
+        # must neither raise nor call them equal, and both must hash
+        a = OperatorBasis(2, PB.ops, "pauli")
+        b = OperatorBasis(2, PB.ops, "pauli")
+        assert a == a and a != b and a != PB
+        assert len({a, b, PB, pauli_basis()}) == 3
+
+    def test_operators_are_a_read_only_copy(self):
+        ops = PB.ops.copy()
+        basis = OperatorBasis(2, ops, "custom")
+        ops[0] = 0.0
+        assert np.array_equal(basis.ops, PB.ops)
+        with pytest.raises(ValueError):
+            basis.ops[0, 0, 0] = 2.0
+
     def test_bad_normalization_rejected(self):
         from lossyqpt.channels import OperatorBasis
 

@@ -14,6 +14,7 @@ from lossyqpt.channels import (
     process_fidelity_ntp,
 )
 from lossyqpt.errors import DataError, DegenerateFitError, SingularSystemError
+from lossyqpt import mle, simulator, tomography
 from lossyqpt.mle import (
     FitOptions,
     _Misfit,
@@ -577,6 +578,39 @@ class TestRelabelledBasis:
         assert np.abs(chi.mat - truth.mat).max() <= 1e-12
         mu = expected_counts(chi, table.exposure, table.inputs, table.projectors)
         assert np.abs(mu - table.counts).max() <= 1e-8 * table.exposure
+
+
+class TestPlanCache:
+    def test_custom_basis_builds_its_constants_once(self, monkeypatch):
+        calls = {"plan": 0, "design": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(mle, "_build_plan", counted("plan", mle._build_plan))
+        monkeypatch.setattr(simulator, "measurement_design",
+                            counted("design", tomography.measurement_design))
+        basis = _rotated_basis()  # a fresh object, so no cached constants
+        chi = change_basis(ppbs_chi(PpbsParams.from_gamma(0.5)), basis)
+        for seed in range(3):
+            table = simulate_counts(SimConfig(PpbsParams.from_gamma(0.5), seed=seed), chi)
+            likelihood(chi, table)
+            fit_unconstrained(table, basis, FAST)
+        assert calls == {"plan": 1, "design": 1}
+
+    def test_copy_of_named_basis_fits_to_the_same_bits(self):
+        copy = OperatorBasis(2, PB.ops.copy(), "pauli")
+        table = table_for(0.3, seed=4)
+        for fit in (fit_unconstrained, fit_trace_preserving, fit_linear,
+                    fit_post_selected):
+            named, copied = fit(table, PB), fit(table, copy)
+            assert copied.chi.basis is copy
+            assert copied.objective == named.objective
+            assert copied.iterations == named.iterations
+            assert copied.chi.mat.tobytes() == named.chi.mat.tobytes()
 
 
 class TestFitOptions:
