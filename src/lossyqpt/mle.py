@@ -29,7 +29,11 @@ through one report builder (the chi-space fits add their solver result):
     is one, since a global loss factor is not measurable.
   * fit_trace_preserving: adds the affine constraint P = I, which every
     solver step satisfies exactly and the returned positive semidefinite
-    iterate meets to the solver's tolerance.  For genuinely lossy,
+    iterate meets to the solver's tolerance.  It is solved for a whitened
+    chi' = S chi S^H, a congruence built from the weighted per-cell
+    amplitudes that keeps the cone and its eigenvalue-clipping projection
+    and about halves the solver steps; the unconstrained fit stays in chi,
+    where the same whitening slows dense tables.  For genuinely lossy,
     state-dependent devices this is a wrong model, and its fidelity to
     the true map degrades as the polarization dependence grows.
   * fit_post_selected: the linear fit of rates whose rows are each
@@ -40,16 +44,18 @@ through one report builder (the chi-space fits add their solver result):
 The least-squares chi equals tomography's beta/tau linear inversion on a
 complete protocol.  The chi-space fits start from its positive
 semidefinite projection and are deterministic given the count table.
-Everything that depends only on the protocol (the frame, the
-unit-exposure design, the P = I equations, the least-squares map and the
-output-trace weights) is computed once per protocol and cached per basis
-object.  A protocol whose inputs or analyzers do not determine chi raises
-SingularSystemError.
+Everything that depends only on the protocol (the frame, the per-cell
+amplitudes, the unit-exposure design, the P = I equations, the
+least-squares map and the output-trace weights) is computed once per
+protocol and cached per basis object.  A protocol whose inputs or
+analyzers do not determine chi raises SingularSystemError, and a table
+without counts raises DegenerateFitError in the chi-space fits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from copy import copy
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -67,14 +73,19 @@ from .errors import (
     RepresentationError,
     SingularSystemError,
 )
-from .optimize import minimize_adaptive
+from .optimize import _RHO_FLOOR, minimize_adaptive
 from .states import kets_for, state_density
 from .tomography import (
     CountTable,
     _hermitian_basis,
     analyzer_dual_frame,
-    measurement_design,
+    design_from_amplitudes,
+    measurement_amplitudes,
 )
+
+# singular values of the unit-exposure design below this count as zero:
+# the cells then do not determine chi
+_RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -148,14 +159,18 @@ class _FitPlan:
     imaginary parts (2 n^2 x n^2 for n x n chi), turns coordinates into
     matrices and back in real arithmetic: lift @ x, viewed as complex, is
     vec(sum_k x_k F_k), and vec(M), viewed as real, @ lift is the vector
-    of Re Tr[F_k M].  design maps frame coordinates to detection
-    probabilities (unit exposure); seed_map is its pseudo-inverse, which
-    turns rates into the least-squares chi; output_traces, the traces of
-    the analyzers' dual frame, turns rates into output-state traces.  Both
-    are None when the protocol does not determine chi.
+    of Re Tr[F_k M].  amplitudes holds the row c_ab = (<psi_b|A_m|phi_a>)_m
+    of each cell, from which design and the whitening of the
+    trace-preserving fit are built.  design maps frame coordinates to
+    detection probabilities (unit exposure); seed_map is its
+    pseudo-inverse, which turns rates into the least-squares chi;
+    output_traces, the traces of the analyzers' dual frame, turns rates
+    into output-state traces.  Both are None when the protocol does not
+    determine chi.
     """
 
     lift: np.ndarray
+    amplitudes: np.ndarray
     design: np.ndarray
     tp_equations: tuple[np.ndarray, np.ndarray]
     seed_map: np.ndarray | None
@@ -164,17 +179,18 @@ class _FitPlan:
 
 def _build_plan(basis: OperatorBasis, in_labels, an_labels) -> _FitPlan:
     frame = hermitian_frame(basis.size)
-    design = measurement_design(basis, kets_for(in_labels), kets_for(an_labels))
-    design = (design @ frame.T).real
+    amplitudes = measurement_amplitudes(basis, kets_for(in_labels), kets_for(an_labels))
+    design = (design_from_amplitudes(amplitudes) @ frame.T).real
     seed_map = output_traces = None
-    if np.linalg.matrix_rank(design, tol=1e-10) == frame.shape[0]:
+    if np.linalg.matrix_rank(design, tol=_RANK_TOL) == frame.shape[0]:
         seed_map = np.linalg.pinv(design)
         dual = analyzer_dual_frame(np.array([state_density(lab) for lab in an_labels]))
         output_traces = np.trace(dual, axis1=1, axis2=2).real
     lift = np.ascontiguousarray(frame.view(float).T)
-    plan = _FitPlan(lift, design, _tp_equations(basis, frame), seed_map, output_traces)
+    plan = _FitPlan(lift, amplitudes, design, _tp_equations(basis, frame), seed_map,
+                    output_traces)
     # cached plans are shared by every fit of the protocol
-    for arr in (lift, design, *plan.tp_equations, seed_map, output_traces):
+    for arr in (lift, amplitudes, design, *plan.tp_equations, seed_map, output_traces):
         if arr is not None:
             arr.flags.writeable = False
     return plan
@@ -198,13 +214,14 @@ class _Misfit:
         self.plan = _plan_for(basis, counts.inputs, counts.projectors)
         model = counts.exposure * self.plan.design
         n_flat = counts.counts.reshape(-1)
+        amps = self.plan.amplitudes
         if weight_mode == "drop":
             keep = n_flat > 0
-            model, n_flat = model[keep], n_flat[keep]
+            model, n_flat, amps = model[keep], n_flat[keep], amps[keep]
             self.inv_w = 1.0 / n_flat
         else:
             self.inv_w = 1.0 / np.maximum(n_flat, 1.0)
-        self.model, self.n = model, n_flat
+        self.model, self.n, self.amps = model, n_flat, amps
         self.hessian = 2.0 * (model.T * self.inv_w) @ model
 
     def __call__(self, x):
@@ -226,6 +243,44 @@ class _Misfit:
 
     def project(self, x: np.ndarray) -> np.ndarray:
         return self.coords(qmath.psd_projection(self.matrix(x)))
+
+    def congruence(self):
+        """(T, T^-1): the frame-coordinate matrices of the congruence
+        chi = S^-1 chi' S^-H and of its inverse.
+
+        The probability of cell (a, b) is u^H chi u with u = conj(c_ab), so
+        S = (K / lambda_min)^(1/2) with K = sum_ab u u^H / w_ab over the kept
+        cells makes the weighted cell operators of chi' sum to lambda_min I.
+        Cells that determine chi make K positive definite; its eigenvalues
+        are still floored at _RHO_FLOOR of the largest, so that rounding
+        cannot make S infinite.  The smallest singular value of S is one,
+        so ||T||_2 <= 1.  A congruence maps the positive semidefinite cone
+        onto itself, so chi' is projected onto it by the same eigenvalue
+        clipping as chi.
+        """
+        amps = self.amps
+        k = (amps.conj().T * self.inv_w) @ amps
+        eigs, vecs = np.linalg.eigh(k)
+        eigs = np.maximum(eigs, _RHO_FLOOR * eigs[-1])
+        roots = np.sqrt(eigs / eigs[0])
+        lift = self.plan.lift
+        # the frame matrices F_k, read back from the lift
+        frame = np.ascontiguousarray(lift.T).view(complex).reshape(len(lift.T), *k.shape)
+
+        def coordinates_of(op):
+            mats = op @ frame @ op.conj().T
+            return (mats.reshape(len(frame), -1).view(float) @ lift).T
+
+        return (coordinates_of((vecs / roots) @ vecs.conj().T),
+                coordinates_of((vecs * roots) @ vecs.conj().T))
+
+    def transformed(self, t: np.ndarray) -> _Misfit:
+        """The misfit of y with x = T y: f(T y), gradient T^T grad f and
+        Hessian T^T H T."""
+        other = copy(self)
+        other.model = self.model @ t
+        other.hessian = t.T @ self.hessian @ t
+        return other
 
 
 def _chi_and_basis(chi, basis):
@@ -295,19 +350,42 @@ def _least_squares(misfit: _Misfit, counts: CountTable, post_select=False):
 
 
 def _solve(counts, basis, opts, tp: bool):
-    """(misfit, solver result) of a chi-space fit."""
+    """(misfit, solver result) of a chi-space fit.
+
+    A trace-preserving fit whose kept cells determine chi is solved for the
+    coordinates y of the whitened chi' (see _Misfit.congruence) and mapped
+    back as x = T y; since ||T||_2 <= 1, a primal residual of xtol in y is
+    at most xtol in chi.  When dropped dark cells leave chi undetermined,
+    the optimum is not unique and the whitened solve can stall or diverge
+    where the plain one converges, so such a fit keeps frame coordinates.
+    """
+    if not counts.counts.any():
+        # grad f(0) = 0 would set the solver's dual tolerance to zero
+        raise DegenerateFitError("the count table holds no counts; nothing to fit")
     misfit = _Misfit(counts, basis, opts.weight_mode)
     # the solver starts from the projection of x0, the least-squares chi,
     # onto the cone
+    x0 = _least_squares(misfit, counts)
+    problem, equations, t = misfit, None, None
+    if tp:
+        equations = misfit.plan.tp_equations
+        # with every cell kept, the plan's rank check already holds
+        if len(misfit.n) == len(misfit.plan.design) or np.linalg.matrix_rank(
+                misfit.model, tol=_RANK_TOL * counts.exposure) == x0.size:
+            t, t_inv = misfit.congruence()
+            problem, x0 = misfit.transformed(t), t_inv @ x0
+            equations = (equations[0] @ t, equations[1])
     res = minimize_adaptive(
-        misfit,
-        _least_squares(misfit, counts),
-        misfit.hessian,
+        problem,
+        x0,
+        problem.hessian,
         misfit.project,
-        equations=misfit.plan.tp_equations if tp else None,
+        equations=equations,
         xtol=opts.xtol,
         maxfev=opts.maxfev,
     )
+    if t is not None:
+        res = replace(res, x=t @ res.x)
     return misfit, res
 
 

@@ -148,6 +148,29 @@ class CountTable:
         return dict(zip(self.projectors, self.counts[i]))
 
 
+def measurement_amplitudes(
+    basis: OperatorBasis, input_kets: np.ndarray, analyzer_kets: np.ndarray
+) -> np.ndarray:
+    """The amplitudes c_ab = (<psi_b|A_m|phi_a>)_m of every protocol cell,
+    one row per cell (a, b), with rows ordered like
+    CountTable.counts.reshape(-1)."""
+    if input_kets.shape[-1] != basis.dim or analyzer_kets.shape[-1] != basis.dim:
+        raise RepresentationError(
+            f"protocol states must have dimension {basis.dim} for this basis"
+        )
+    amps = np.einsum(
+        "bi,mij,aj->abm", analyzer_kets.conj(), basis.ops, input_kets
+    )
+    return amps.reshape(-1, basis.size)
+
+
+def design_from_amplitudes(amps: np.ndarray) -> np.ndarray:
+    """The design rows c_m conj(c_n), flattened over (m, n), of amplitude
+    rows c."""
+    outer = amps[:, :, None] * amps.conj()[:, None, :]
+    return outer.reshape(amps.shape[0], -1)
+
+
 def measurement_design(
     basis: OperatorBasis, input_kets: np.ndarray, analyzer_kets: np.ndarray
 ) -> np.ndarray:
@@ -158,17 +181,9 @@ def measurement_design(
     Row (a, b) holds <psi_b|A_m|phi_a><phi_a|A_n^dag|psi_b> flattened over
     (m, n), with rows ordered like CountTable.counts.reshape(-1).
     """
-    if input_kets.shape[-1] != basis.dim or analyzer_kets.shape[-1] != basis.dim:
-        raise RepresentationError(
-            f"protocol states must have dimension {basis.dim} for this basis"
-        )
-    amps = np.einsum(
-        "bi,mij,aj->abm", analyzer_kets.conj(), basis.ops, input_kets
+    return design_from_amplitudes(
+        measurement_amplitudes(basis, input_kets, analyzer_kets)
     )
-    outer = amps[:, :, :, None] * amps.conj()[:, :, None, :]
-    na, nb = amps.shape[0], amps.shape[1]
-    n = basis.size
-    return outer.reshape(na * nb, n * n)
 
 
 def canonical_state_basis(d: int) -> StateBasis:

@@ -164,6 +164,23 @@ class TestReconstructCommand:
         assert code == 2
         assert "weight_mode" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("weight_mode", ["floor", "drop"])
+    @pytest.mark.parametrize("method", ["mle", "mle-tp"])
+    def test_table_without_counts_is_degenerate(self, tmp_path, capsys, method,
+                                                weight_mode):
+        counts = tmp_path / "counts.json"
+        run("simulate", "--gamma", "0.5", "--seed", "3", "--out", str(counts))
+        doc = json.loads(counts.read_text())
+        doc["counts"] = [[0] * 6 for _ in range(6)]
+        counts.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run("reconstruct", "--counts", str(counts), "--method", method,
+                   "--weight-mode", weight_mode, "--out", str(tmp_path / "fit.json"))
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("error: ") and "no counts" in err
+        assert not (tmp_path / "fit.json").exists()
+
     def test_fit_report_has_convergence_flag(self, tmp_path):
         counts = tmp_path / "counts.json"
         run("simulate", "--gamma", "0.5", "--seed", "3", "--out", str(counts))
