@@ -29,11 +29,7 @@ through one report builder (the chi-space fits add their solver result):
     is one, since a global loss factor is not measurable.
   * fit_trace_preserving: adds the affine constraint P = I, which every
     solver step satisfies exactly and the returned positive semidefinite
-    iterate meets to the solver's tolerance.  It is solved for a whitened
-    chi' = S chi S^H, a congruence built from the weighted per-cell
-    amplitudes that keeps the cone and its eigenvalue-clipping projection
-    and about halves the solver steps; the unconstrained fit stays in chi,
-    where the same whitening slows dense tables.  For genuinely lossy,
+    iterate meets to the solver's tolerance.  For genuinely lossy,
     state-dependent devices this is a wrong model, and its fidelity to
     the true map degrades as the polarization dependence grows.
   * fit_post_selected: the linear fit of rates whose rows are each
@@ -44,6 +40,13 @@ through one report builder (the chi-space fits add their solver result):
 The least-squares chi equals tomography's beta/tau linear inversion on a
 complete protocol.  The chi-space fits start from its positive
 semidefinite projection and are deterministic given the count table.
+Both are solved for a whitened chi' = S chi S^H, a congruence built from
+the weighted per-cell amplitudes that keeps the cone and its
+eigenvalue-clipping projection.  On benchmark tables it about halves the
+solver steps of the trace-preserving fit and, with the solver's
+whole-spectrum penalty, cuts those of the unconstrained fit by about
+40 %.  Only a table whose kept cells do not determine chi is solved in
+chi itself.
 Everything that depends only on the protocol (the frame, the per-cell
 amplitudes, the unit-exposure design, the P = I equations, the
 least-squares map and the output-trace weights) is computed once per
@@ -160,9 +163,9 @@ class _FitPlan:
     matrices and back in real arithmetic: lift @ x, viewed as complex, is
     vec(sum_k x_k F_k), and vec(M), viewed as real, @ lift is the vector
     of Re Tr[F_k M].  amplitudes holds the row c_ab = (<psi_b|A_m|phi_a>)_m
-    of each cell, from which design and the whitening of the
-    trace-preserving fit are built.  design maps frame coordinates to
-    detection probabilities (unit exposure); seed_map is its
+    of each cell, from which design and the whitening of the chi-space
+    fits are built.  design maps frame coordinates to detection
+    probabilities (unit exposure); seed_map is its
     pseudo-inverse, which turns rates into the least-squares chi;
     output_traces, the traces of the analyzers' dual frame, turns rates
     into output-state traces.  Both are None when the protocol does not
@@ -352,12 +355,13 @@ def _least_squares(misfit: _Misfit, counts: CountTable, post_select=False):
 def _solve(counts, basis, opts, tp: bool):
     """(misfit, solver result) of a chi-space fit.
 
-    A trace-preserving fit whose kept cells determine chi is solved for the
-    coordinates y of the whitened chi' (see _Misfit.congruence) and mapped
-    back as x = T y; since ||T||_2 <= 1, a primal residual of xtol in y is
-    at most xtol in chi.  When dropped dark cells leave chi undetermined,
-    the optimum is not unique and the whitened solve can stall or diverge
-    where the plain one converges, so such a fit keeps frame coordinates.
+    A fit whose kept cells determine chi, with or without P = I, is solved
+    for the coordinates y of the whitened chi' (see _Misfit.congruence) and
+    mapped back as x = T y; since ||T||_2 <= 1, a primal residual of xtol
+    in y is at most xtol in chi.  When dropped dark cells leave chi
+    undetermined, the optimum is not unique and the whitened solve can
+    stall or diverge where the plain one converges, so such a fit keeps
+    frame coordinates.
     """
     if not counts.counts.any():
         # grad f(0) = 0 would set the solver's dual tolerance to zero
@@ -366,14 +370,14 @@ def _solve(counts, basis, opts, tp: bool):
     # the solver starts from the projection of x0, the least-squares chi,
     # onto the cone
     x0 = _least_squares(misfit, counts)
-    problem, equations, t = misfit, None, None
-    if tp:
-        equations = misfit.plan.tp_equations
-        # with every cell kept, the plan's rank check already holds
-        if len(misfit.n) == len(misfit.plan.design) or np.linalg.matrix_rank(
-                misfit.model, tol=_RANK_TOL * counts.exposure) == x0.size:
-            t, t_inv = misfit.congruence()
-            problem, x0 = misfit.transformed(t), t_inv @ x0
+    problem, t = misfit, None
+    equations = misfit.plan.tp_equations if tp else None
+    # with every cell kept, the plan's rank check already holds
+    if len(misfit.n) == len(misfit.plan.design) or np.linalg.matrix_rank(
+            misfit.model, tol=_RANK_TOL * counts.exposure) == x0.size:
+        t, t_inv = misfit.congruence()
+        problem, x0 = misfit.transformed(t), t_inv @ x0
+        if tp:
             equations = (equations[0] @ t, equations[1])
     res = minimize_adaptive(
         problem,

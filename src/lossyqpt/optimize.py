@@ -19,8 +19,16 @@ variable of the consensus x = z,
 Because f is quadratic, the x-step is closed form, x = (H + rho I)^-1
 (b + rho (z - u)), bordered by E for the equations; the matrix is
 inverted once per solve.  The penalty rho adapts to the problem: it is
-the geometric mean of the extreme eigenvalues of H.  f itself is
-evaluated twice per solve, for b = -grad f(0) and at the result.
+the geometric mean of H's whole spectrum, never below the geometric mean
+of its extreme eigenvalues, the optimum for well-conditioned strongly
+convex quadratics (Ghadimi et al., IEEE Trans. Autom. Control 60, 644
+(2015)).  The extreme-eigenvalue rule alone sets rho far too low where
+one eigenvalue stands far above the rest and a few lie near zero: on
+whitened chi fits, and on the singular Hessians of count tables whose
+kept cells do not determine chi.  The whole-spectrum mean alone falls
+to about 4e-10 of lambda_max on a Hessian of rank one, where the
+extreme-eigenvalue bound keeps 1e-6.  f itself is evaluated twice per
+solve, for b = -grad f(0) and at the result.
 
 One ADMM step is a fixed-point map T of the state w = (z, u).  Plain
 ADMM iterates w <- T(w) and takes hundreds of steps on chi fits, most at
@@ -43,10 +51,12 @@ Boyd, SIAM J. Sci. Comput. 42, A3560 (2020)).  It shrinks extrapolations
 built from stale, nearly collinear differences, which the safeguard
 would otherwise throw away, and keeps the normal equations solvable.
 Over the MLE and TP fits of 120 benchmark tables (5 values of Gamma, 24
-seeds each) the step totals with a memory of 15 are 11 146 at
-lambda = 1e-10 (a guard only), 10 823 at 1e-6, 10 264 at 1e-3, 10 484
-at 1e-2, 12 082 at 1e-1 and 13 578 at 3e-1; with a memory of 20 they
-are 9 902 at 1e-3, 9 715 at 5e-3, 9 716 at 1e-2 and 9 926 at 2e-2.
+seeds each; measured before the fits were whitened and before rho took
+the whole spectrum into account) the step totals with a memory of 15
+are 11 146 at lambda = 1e-10 (a guard only), 10 823 at 1e-6, 10 264 at
+1e-3, 10 484 at 1e-2, 12 082 at 1e-1 and 13 578 at 3e-1; with a memory
+of 20 they are 9 902 at 1e-3, 9 715 at 5e-3, 9 716 at 1e-2 and 9 926 at
+2e-2.
 Memories of 25 and 30 save a few more steps (9 573 and 9 544), but each
 step costs more.  At (1e-2, 20) the largest fit over 300 further tables
 takes 92 steps; at (3e-3, 20) it takes 159, so the larger damping is
@@ -79,9 +89,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# eigenvalues of H below this fraction of the largest are treated as this
-# fraction when rho is chosen, so a singular H still gets a positive rho
+# the smallest eigenvalue of H counts as at least this fraction of the
+# largest in the extreme-eigenvalue bound on rho, so that bound stays
+# positive on a singular H (sqrt(1e-12) = 1e-6 of the largest)
 _RHO_FLOOR = 1e-12
+# in the whole-spectrum mean, each eigenvalue of H counts as at least
+# this fraction of the largest, so near-null directions cannot drag the
+# mean to zero
+_MEAN_FLOOR = 1e-10
 # over-relaxation of the x-step in the z- and u-updates (Boyd et al.,
 # "Distributed optimization and statistical learning via the alternating
 # direction method of multipliers", 2011, sec. 3.4.3); it saves about a
@@ -105,6 +120,20 @@ class MinimizeResult:
     converged: bool
 
 
+def _penalty(hessian: np.ndarray) -> float:
+    """The ADMM penalty rho of a positive semidefinite H: the larger of
+    sqrt(max(lambda_min, _RHO_FLOOR lambda_max) lambda_max) and the
+    geometric mean of the eigenvalues, each floored at _MEAN_FLOOR
+    lambda_max; 1 for H = 0."""
+    eigs = np.linalg.eigvalsh(hessian)
+    top = float(eigs[-1])
+    if top <= 0.0:
+        return 1.0
+    extremes = np.sqrt(max(float(eigs[0]), _RHO_FLOOR * top) * top)
+    spectrum = np.exp(np.log(np.maximum(eigs, _MEAN_FLOOR * top)).mean())
+    return float(max(extremes, spectrum))
+
+
 def minimize_adaptive(
     func,
     x0: np.ndarray,
@@ -126,9 +155,7 @@ def minimize_adaptive(
     """
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
-    eigs = np.linalg.eigvalsh(hessian)
-    top = max(float(eigs[-1]), 0.0)
-    rho = np.sqrt(max(float(eigs[0]), _RHO_FLOOR * top) * top) or 1.0
+    rho = _penalty(hessian)
     b = -func(np.zeros(n))[1]
     m = 0 if equations is None else equations[0].shape[0]
     eye = np.eye(n)

@@ -181,6 +181,20 @@ class TestReconstructCommand:
         assert err.startswith("error: ") and "no counts" in err
         assert not (tmp_path / "fit.json").exists()
 
+    def test_undetermined_drop_table_fits_trace_preserving(self, tmp_path):
+        # dark diagonal cells, dropped, leave chi undetermined; the fit
+        # must still meet P = I within its default budget
+        counts = tmp_path / "counts.json"
+        run("simulate", "--gamma", "0.1", "--seed", "5", "--out", str(counts))
+        doc = json.loads(counts.read_text())
+        for i in range(6):
+            doc["counts"][i][i] = 0
+        counts.write_text(json.dumps(doc))
+        out = tmp_path / "fit.json"
+        assert run("reconstruct", "--counts", str(counts), "--method", "mle-tp",
+                   "--weight-mode", "drop", "--out", str(out)) == 0
+        assert json.loads(out.read_text())["converged"] is True
+
     def test_fit_report_has_convergence_flag(self, tmp_path):
         counts = tmp_path / "counts.json"
         run("simulate", "--gamma", "0.5", "--seed", "3", "--out", str(counts))
