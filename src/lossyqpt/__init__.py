@@ -49,7 +49,6 @@ from .qmath import EigDecomposition, herm_eig, psd_sqrt, state_fidelity
 from .simulator import (
     PpbsParams,
     SimConfig,
-    gamma_sweep,
     ppbs_chi,
     ppbs_probability_operator,
     simulate_counts,

@@ -49,7 +49,7 @@ class OperatorBasis:
     """A complete operator basis {A_m} with Tr[A_m A_n^dag] = d delta_mn.
 
     Bases compare and hash by identity, so the constants derived from one
-    (fit plans, designs) are cached per basis object; the operators are a
+    (the protocol plans) are cached per basis object; the operators are a
     read-only copy, so a cached constant cannot go stale.
     """
 
@@ -331,17 +331,21 @@ def jamiolkowski_state(chi: ChiMatrix) -> np.ndarray:
     return change_basis(chi, elementary_basis(chi.dim)).mat.copy()
 
 
+def in_basis(chi: ChiMatrix, basis: OperatorBasis) -> ChiMatrix:
+    """chi itself if its operators are those of `basis`, else chi changed
+    into `basis`."""
+    # the same label does not make the same basis; only the operators do
+    if chi.basis is basis or np.array_equal(chi.basis.ops, basis.ops):
+        return chi
+    return change_basis(chi, basis)
+
+
 def _common_basis(chi_a: ChiMatrix, chi_b: ChiMatrix):
     if chi_a.dim != chi_b.dim:
         raise RepresentationError(
             f"cannot compare channels of dimension {chi_a.dim} and {chi_b.dim}"
         )
-    # the same label does not make the same basis; only the operators do
-    if chi_b.basis is not chi_a.basis and not np.array_equal(
-        chi_b.basis.ops, chi_a.basis.ops
-    ):
-        chi_b = change_basis(chi_b, chi_a.basis)
-    return chi_a, chi_b
+    return chi_a, in_basis(chi_b, chi_a.basis)
 
 
 def process_fidelity_tp(chi_a: ChiMatrix, chi_b: ChiMatrix) -> float:

@@ -46,20 +46,17 @@ eigenvalue-clipping projection.  On benchmark tables it about halves the
 solver steps of the trace-preserving fit and, with the solver's
 whole-spectrum penalty, cuts those of the unconstrained fit by about
 40 %.  Only a table whose kept cells do not determine chi is solved in
-chi itself.
-Everything that depends only on the protocol (the frame, the per-cell
-amplitudes, the unit-exposure design, the P = I equations, the
-least-squares map and the output-trace weights) is computed once per
-protocol and cached per basis object.  A protocol whose inputs or
-analyzers do not determine chi raises SingularSystemError, and a table
-without counts raises DegenerateFitError in the chi-space fits.
+chi itself.  Everything that depends only on the protocol comes from
+tomography.protocol_plan, the plan the simulator reads too.  A protocol
+whose inputs or analyzers do not determine chi raises
+SingularSystemError, and a table without counts raises
+DegenerateFitError in the chi-space fits.
 """
 
 from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -67,6 +64,7 @@ from . import qmath
 from .channels import (
     ChiMatrix,
     OperatorBasis,
+    in_basis,
     pauli_basis,
     probability_operator,
 )
@@ -77,18 +75,7 @@ from .errors import (
     SingularSystemError,
 )
 from .optimize import _RHO_FLOOR, minimize_adaptive
-from .states import kets_for, state_density
-from .tomography import (
-    CountTable,
-    _hermitian_basis,
-    analyzer_dual_frame,
-    design_from_amplitudes,
-    measurement_amplitudes,
-)
-
-# singular values of the unit-exposure design below this count as zero:
-# the cells then do not determine chi
-_RANK_TOL = 1e-10
+from .tomography import RANK_TOL, CountTable, protocol_plan
 
 
 @dataclass(frozen=True)
@@ -143,68 +130,6 @@ class FitReport:
     converged: bool = True
 
 
-def hermitian_frame(n: int) -> np.ndarray:
-    """Rows: vec of n*n Hermitian n x n matrices F_k, orthonormal under
-    Re Tr[F_j F_k].  Coordinates x_k = Re Tr[F_k M] of a Hermitian M give
-    vec(M) = frame.T @ x and ||M||_F = ||x||."""
-    herm = _hermitian_basis(n)
-    herm = herm / np.linalg.norm(herm, axis=(1, 2))[:, None, None]
-    return herm.reshape(n * n, n * n)
-
-
-@dataclass(frozen=True)
-class _FitPlan:
-    """The constants of a fit that depend only on the protocol (operator
-    basis, input labels, analyzer labels), not on the counts; cached per
-    basis object by _plan_for.
-
-    lift, the frame with each complex entry split into its real and
-    imaginary parts (2 n^2 x n^2 for n x n chi), turns coordinates into
-    matrices and back in real arithmetic: lift @ x, viewed as complex, is
-    vec(sum_k x_k F_k), and vec(M), viewed as real, @ lift is the vector
-    of Re Tr[F_k M].  amplitudes holds the row c_ab = (<psi_b|A_m|phi_a>)_m
-    of each cell, from which design and the whitening of the chi-space
-    fits are built.  design maps frame coordinates to detection
-    probabilities (unit exposure); seed_map is its
-    pseudo-inverse, which turns rates into the least-squares chi;
-    output_traces, the traces of the analyzers' dual frame, turns rates
-    into output-state traces.  Both are None when the protocol does not
-    determine chi.
-    """
-
-    lift: np.ndarray
-    amplitudes: np.ndarray
-    design: np.ndarray
-    tp_equations: tuple[np.ndarray, np.ndarray]
-    seed_map: np.ndarray | None
-    output_traces: np.ndarray | None
-
-
-def _build_plan(basis: OperatorBasis, in_labels, an_labels) -> _FitPlan:
-    frame = hermitian_frame(basis.size)
-    amplitudes = measurement_amplitudes(basis, kets_for(in_labels), kets_for(an_labels))
-    design = (design_from_amplitudes(amplitudes) @ frame.T).real
-    seed_map = output_traces = None
-    if np.linalg.matrix_rank(design, tol=_RANK_TOL) == frame.shape[0]:
-        seed_map = np.linalg.pinv(design)
-        dual = analyzer_dual_frame(np.array([state_density(lab) for lab in an_labels]))
-        output_traces = np.trace(dual, axis1=1, axis2=2).real
-    lift = np.ascontiguousarray(frame.view(float).T)
-    plan = _FitPlan(lift, amplitudes, design, _tp_equations(basis, frame), seed_map,
-                    output_traces)
-    # cached plans are shared by every fit of the protocol
-    for arr in (lift, amplitudes, design, *plan.tp_equations, seed_map, output_traces):
-        if arr is not None:
-            arr.flags.writeable = False
-    return plan
-
-
-@lru_cache(maxsize=32)
-def _plan_for(basis: OperatorBasis, in_labels: tuple, an_labels: tuple) -> _FitPlan:
-    """The fit plan of a protocol, cached per basis object."""
-    return _build_plan(basis, in_labels, an_labels)
-
-
 class _Misfit:
     """The weighted misfit of one count table in frame coordinates."""
 
@@ -214,7 +139,7 @@ class _Misfit:
                 raise RepresentationError("a basis must be given for d != 2")
             basis = pauli_basis()
         self.basis = basis
-        self.plan = _plan_for(basis, counts.inputs, counts.projectors)
+        self.plan = protocol_plan(basis, counts.inputs, counts.projectors)
         model = counts.exposure * self.plan.design
         n_flat = counts.counts.reshape(-1)
         amps = self.plan.amplitudes
@@ -287,10 +212,13 @@ class _Misfit:
 
 
 def _chi_and_basis(chi, basis):
-    """(matrix, basis) of a ChiMatrix or of an array given in `basis`."""
-    if isinstance(chi, ChiMatrix):
-        return chi.mat, basis if basis is not None else chi.basis
-    return np.asarray(chi, dtype=complex), basis
+    """(matrix, basis) of a ChiMatrix, in `basis` if one is given, or of an
+    array given in `basis`."""
+    if not isinstance(chi, ChiMatrix):
+        return np.asarray(chi, dtype=complex), basis
+    if basis is None:
+        return chi.mat, chi.basis
+    return in_basis(chi, basis).mat, basis
 
 
 def likelihood(
@@ -300,7 +228,8 @@ def likelihood(
     weight_mode: str = "floor",
 ) -> float:
     """Weighted squared misfit between measured and model counts at chi
-    (a ChiMatrix, or a d^2 x d^2 Hermitian array in `basis`)."""
+    (a ChiMatrix, changed into `basis` if one is given, or a d^2 x d^2
+    Hermitian array in `basis`)."""
     mat, basis = _chi_and_basis(chi, basis)
     misfit = _Misfit(counts, basis, weight_mode)
     return misfit(misfit.coords(mat))[0]
@@ -314,23 +243,11 @@ def likelihood_gradient(
 ) -> np.ndarray:
     """Gradient matrix G of the misfit at chi: the Hermitian matrix with
     f(chi + D) = f(chi) + Re Tr[G D] + O(||D||^2).  At an unconstrained
-    optimum G is positive semidefinite and Tr[G chi] = 0."""
+    optimum G is positive semidefinite and Tr[G chi] = 0.  G is written in
+    `basis` if one is given, else in chi's own."""
     mat, basis = _chi_and_basis(chi, basis)
     misfit = _Misfit(counts, basis, weight_mode)
     return misfit.matrix(misfit(misfit.coords(mat))[1])
-
-
-def _tp_equations(basis: OperatorBasis, frame: np.ndarray):
-    """(E, e) with ||E x - e|| = ||P(chi(x)) - I||_F, in the frame
-    coordinates of chi and of P."""
-    dim = basis.dim
-    # row (m, n) is vec(A_n^dag A_m), so vec(P) = gram.T @ vec(chi)
-    gram = np.einsum("nji,mjk->mnik", basis.ops.conj(), basis.ops)
-    gram = gram.reshape(basis.size**2, dim * dim)
-    p_frame = hermitian_frame(dim).conj()
-    e_mat = (p_frame @ (frame @ gram).T).real
-    e_rhs = (p_frame @ np.eye(dim).reshape(-1)).real
-    return e_mat, e_rhs
 
 
 def _least_squares(misfit: _Misfit, counts: CountTable, post_select=False):
@@ -374,7 +291,7 @@ def _solve(counts, basis, opts, tp: bool):
     equations = misfit.plan.tp_equations if tp else None
     # with every cell kept, the plan's rank check already holds
     if len(misfit.n) == len(misfit.plan.design) or np.linalg.matrix_rank(
-            misfit.model, tol=_RANK_TOL * counts.exposure) == x0.size:
+            misfit.model, tol=RANK_TOL * counts.exposure) == x0.size:
         t, t_inv = misfit.congruence()
         problem, x0 = misfit.transformed(t), t_inv @ x0
         if tp:

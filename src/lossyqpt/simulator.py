@@ -18,21 +18,19 @@ studies).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import (
     ChiMatrix,
-    OperatorBasis,
     ProbabilityOperator,
     pauli_basis,
     probability_operator,
 )
 from .errors import DataError
-from .states import STATE_LABELS, kets_for
-from .tomography import CountTable, measurement_design
+from .states import STATE_LABELS
+from .tomography import CountTable, protocol_plan
 
 
 @dataclass(frozen=True)
@@ -129,14 +127,6 @@ def ppbs_probability_operator(p: PpbsParams) -> ProbabilityOperator:
     return probability_operator(ppbs_chi(p))
 
 
-@lru_cache(maxsize=32)
-def _design(basis: OperatorBasis, inputs: tuple, analyzers: tuple) -> np.ndarray:
-    design = measurement_design(basis, kets_for(inputs), kets_for(analyzers))
-    # cached per basis object, shared by every later call with this protocol
-    design.flags.writeable = False
-    return design
-
-
 def expected_counts(
     chi: ChiMatrix,
     exposure: float,
@@ -144,9 +134,10 @@ def expected_counts(
     analyzers=STATE_LABELS,
 ) -> np.ndarray:
     """Expected coincidences N * Tr[Pi_b E(rho_a)] for a generic channel,
-    indexed (input, analyzer); the same design matrix the fits use."""
-    design = _design(chi.basis, tuple(inputs), tuple(analyzers))
-    mu = exposure * (design @ chi.mat.reshape(-1)).real
+    indexed (input, analyzer): c chi c^H for the amplitude row c of each
+    cell, from the protocol plan the fits read."""
+    amps = protocol_plan(chi.basis, tuple(inputs), tuple(analyzers)).amplitudes
+    mu = exposure * ((amps @ chi.mat) * amps.conj()).sum(axis=1).real
     return np.clip(mu, 0.0, None).reshape(len(inputs), len(analyzers))
 
 
@@ -173,21 +164,3 @@ def derive_seed(*parts) -> int:
     """Deterministic child seed from integer parts (sweep decorrelation)."""
     ss = np.random.SeedSequence([int(p) for p in parts])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-def gamma_sweep(gammas, cfg: SimConfig):
-    """Simulate one table per transmittivity ratio.
-
-    Each point gets its own RNG stream derived from (seed, point index),
-    so tables are decorrelated but the whole sweep is reproducible.
-    """
-    gammas = [float(g) for g in gammas]
-    out = []
-    for i, g in enumerate(gammas):
-        point = replace(
-            cfg,
-            params=PpbsParams.from_gamma(g),
-            seed=derive_seed(cfg.seed, i),
-        )
-        out.append((g, simulate_counts(point)))
-    return out

@@ -1,8 +1,13 @@
 """Count tables, the forward model and the reference linear inversion.
 
+The forward model, counts = N Tr[Pi_b E_chi(rho_a)], lives in one place:
+protocol_plan, one cached plan per protocol.  The simulator draws its
+counts from the plan's per-cell amplitudes, and every fit in mle reads
+its constants from the same plan.
+
 The beta/tau chain is the reference route from count data to a chi
 matrix; the linear fits in mle compute the same chi from the
-pseudo-inverse of measurement_design, and the tests compare the two:
+pseudo-inverse of the plan's design, and the tests compare the two:
 
   1. state_tomography turns the per-input analyzer counts into an
      unnormalized output density matrix whose trace estimates the success
@@ -20,6 +25,7 @@ reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -148,42 +154,93 @@ class CountTable:
         return dict(zip(self.projectors, self.counts[i]))
 
 
-def measurement_amplitudes(
-    basis: OperatorBasis, input_kets: np.ndarray, analyzer_kets: np.ndarray
-) -> np.ndarray:
-    """The amplitudes c_ab = (<psi_b|A_m|phi_a>)_m of every protocol cell,
-    one row per cell (a, b), with rows ordered like
-    CountTable.counts.reshape(-1)."""
-    if input_kets.shape[-1] != basis.dim or analyzer_kets.shape[-1] != basis.dim:
+# singular values of the unit-exposure design below this count as zero:
+# the cells then do not determine chi
+RANK_TOL = 1e-10
+
+
+def hermitian_frame(n: int) -> np.ndarray:
+    """Rows: vec of n*n Hermitian n x n matrices F_k, orthonormal under
+    Re Tr[F_j F_k].  Coordinates x_k = Re Tr[F_k M] of a Hermitian M give
+    vec(M) = frame.T @ x and ||M||_F = ||x||."""
+    herm = _hermitian_basis(n)
+    herm = herm / np.linalg.norm(herm, axis=(1, 2))[:, None, None]
+    return herm.reshape(n * n, n * n)
+
+
+@dataclass(frozen=True)
+class ProtocolPlan:
+    """The constants of a protocol (operator basis, input labels, analyzer
+    labels) that the simulator and every fit share; built once per
+    protocol by protocol_plan, read-only.
+
+    amplitudes holds the row c_ab = (<psi_b|A_m|phi_a>)_m of each cell,
+    rows ordered like CountTable.counts.reshape(-1), so that the cell's
+    probability Tr[Pi_b E_chi(rho_a)] is c_ab chi c_ab^H: the forward
+    model.  design maps frame coordinates of chi to those probabilities;
+    the misfit, the whitening of the chi-space fits and the simulated
+    counts are all built from amplitudes.  lift, the frame with each
+    complex entry split into its real and imaginary parts (2 n^2 x n^2
+    for n x n chi), turns coordinates into matrices and back in real
+    arithmetic: lift @ x, viewed as complex, is vec(sum_k x_k F_k), and
+    vec(M), viewed as real, @ lift is the vector of Re Tr[F_k M].
+    tp_equations (E, e) give ||E x - e|| = ||P(chi(x)) - I||_F.  seed_map
+    is the pseudo-inverse of design, which turns rates into the
+    least-squares chi; output_traces, the traces of the analyzers' dual
+    frame, turns rates into output-state traces.  Both are None when the
+    protocol does not determine chi.
+    """
+
+    lift: np.ndarray
+    amplitudes: np.ndarray
+    design: np.ndarray
+    tp_equations: tuple[np.ndarray, np.ndarray]
+    seed_map: np.ndarray | None
+    output_traces: np.ndarray | None
+
+
+@lru_cache(maxsize=32)
+def protocol_plan(basis: OperatorBasis, inputs: tuple, analyzers: tuple) -> ProtocolPlan:
+    """The plan of a protocol, cached per basis object (an OperatorBasis
+    hashes by identity) and label tuples."""
+    in_kets, an_kets = pol.kets_for(inputs), pol.kets_for(analyzers)
+    if in_kets.shape[-1] != basis.dim or an_kets.shape[-1] != basis.dim:
         raise RepresentationError(
             f"protocol states must have dimension {basis.dim} for this basis"
         )
-    amps = np.einsum(
-        "bi,mij,aj->abm", analyzer_kets.conj(), basis.ops, input_kets
-    )
-    return amps.reshape(-1, basis.size)
+    amplitudes = np.einsum(
+        "bi,mij,aj->abm", an_kets.conj(), basis.ops, in_kets
+    ).reshape(-1, basis.size)
+    frame = hermitian_frame(basis.size)
+    # design row (a, b): c_m conj(c_n) flattened over (m, n), in frame coordinates
+    outer = amplitudes[:, :, None] * amplitudes.conj()[:, None, :]
+    design = (outer.reshape(len(amplitudes), -1) @ frame.T).real
+    seed_map = output_traces = None
+    if np.linalg.matrix_rank(design, tol=RANK_TOL) == frame.shape[0]:
+        seed_map = np.linalg.pinv(design)
+        dual = analyzer_dual_frame(np.array([pol.state_density(lab) for lab in analyzers]))
+        output_traces = np.trace(dual, axis1=1, axis2=2).real
+    lift = np.ascontiguousarray(frame.view(float).T)
+    plan = ProtocolPlan(lift, amplitudes, design, _tp_equations(basis, frame), seed_map,
+                        output_traces)
+    # cached plans are shared by every later call with this protocol
+    for arr in (lift, amplitudes, design, *plan.tp_equations, seed_map, output_traces):
+        if arr is not None:
+            arr.flags.writeable = False
+    return plan
 
 
-def design_from_amplitudes(amps: np.ndarray) -> np.ndarray:
-    """The design rows c_m conj(c_n), flattened over (m, n), of amplitude
-    rows c."""
-    outer = amps[:, :, None] * amps.conj()[:, None, :]
-    return outer.reshape(amps.shape[0], -1)
-
-
-def measurement_design(
-    basis: OperatorBasis, input_kets: np.ndarray, analyzer_kets: np.ndarray
-) -> np.ndarray:
-    """The forward model: the matrix D mapping vec(chi) to detection
-    probabilities Tr[Pi_b E(rho_a)], so that expected counts are
-    exposure * Re(D @ vec(chi)).
-
-    Row (a, b) holds <psi_b|A_m|phi_a><phi_a|A_n^dag|psi_b> flattened over
-    (m, n), with rows ordered like CountTable.counts.reshape(-1).
-    """
-    return design_from_amplitudes(
-        measurement_amplitudes(basis, input_kets, analyzer_kets)
-    )
+def _tp_equations(basis: OperatorBasis, frame: np.ndarray):
+    """(E, e) with ||E x - e|| = ||P(chi(x)) - I||_F, in the frame
+    coordinates of chi and of P."""
+    dim = basis.dim
+    # row (m, n) is vec(A_n^dag A_m), so vec(P) = gram.T @ vec(chi)
+    gram = np.einsum("nji,mjk->mnik", basis.ops.conj(), basis.ops)
+    gram = gram.reshape(basis.size**2, dim * dim)
+    p_frame = hermitian_frame(dim).conj()
+    e_mat = (p_frame @ (frame @ gram).T).real
+    e_rhs = (p_frame @ np.eye(dim).reshape(-1)).real
+    return e_mat, e_rhs
 
 
 def canonical_state_basis(d: int) -> StateBasis:

@@ -14,16 +14,14 @@ from lossyqpt.channels import (
     process_fidelity_ntp,
 )
 from lossyqpt.errors import DataError, DegenerateFitError, SingularSystemError
-from lossyqpt import mle, simulator, tomography
+from lossyqpt import mle, tomography
 from lossyqpt.mle import (
     FitOptions,
     _Misfit,
-    _plan_for,
     fit_linear,
     fit_post_selected,
     fit_trace_preserving,
     fit_unconstrained,
-    hermitian_frame,
     likelihood,
     likelihood_gradient,
     normalize_max_p,
@@ -36,8 +34,13 @@ from lossyqpt.simulator import (
     ppbs_chi,
     simulate_counts,
 )
-from lossyqpt.states import STATE_LABELS, state_density
-from lossyqpt.tomography import CountTable, reconstruct_linear
+from lossyqpt.states import STATE_LABELS, state_catalog, state_density
+from lossyqpt.tomography import (
+    CountTable,
+    hermitian_frame,
+    protocol_plan,
+    reconstruct_linear,
+)
 
 PB = pauli_basis()
 
@@ -98,7 +101,7 @@ def _rotated_basis():
 
 
 class TestLift:
-    """The real lift matrix of the fit plan against the complex frame."""
+    """The real lift matrix of the protocol plan against the complex frame."""
 
     FRAME = hermitian_frame(4)
     MISFITS = [_Misfit(table_for(0.5), basis, "floor")
@@ -152,13 +155,13 @@ class TestLikelihood:
 
     def test_matches_design_matrix_route(self):
         # independent route: probabilities as Re(D @ vec(chi)) with the
-        # explicit amplitude-product design matrix
-        from lossyqpt.tomography import measurement_design
-        from lossyqpt.states import kets_for
-
+        # design built cell by cell from Tr[Pi_b A_m rho_a A_n^dag]
         table = table_for(0.5, seed=7)
-        design = measurement_design(PB, kets_for(table.inputs),
-                                    kets_for(table.projectors))
+        cat = state_catalog()
+        design = np.array([
+            [np.trace(cat[b] @ am @ cat[a] @ an.conj().T) for am in PB.ops for an in PB.ops]
+            for a in table.inputs for b in table.projectors
+        ])
         n = table.counts.reshape(-1)
         rng = np.random.default_rng(8)
         for _ in range(10):
@@ -167,6 +170,22 @@ class TestLikelihood:
             model = table.exposure * (design @ chi.reshape(-1)).real
             direct = float(np.sum((n - model) ** 2 / np.maximum(n, 1.0)))
             assert likelihood(chi, table) == pytest.approx(direct, rel=1e-12)
+
+    def test_chi_matrix_is_read_in_its_own_basis(self):
+        # a ChiMatrix given with another basis is changed into that basis,
+        # not read as if its entries were written in it
+        table = table_for(0.5, seed=3)
+        chi = ppbs_chi(PpbsParams.from_gamma(0.5))
+        eb = elementary_basis(2)
+        f = likelihood(chi, table)
+        assert likelihood(chi, table, basis=eb) == pytest.approx(f, rel=1e-12)
+        assert likelihood(change_basis(chi, eb), table, basis=PB) == pytest.approx(
+            f, rel=1e-12)
+        # the gradient changes basis like chi
+        g = ChiMatrix(PB, likelihood_gradient(chi, table))
+        expected = change_basis(g, eb).mat
+        got = likelihood_gradient(chi, table, basis=eb)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_gradient_matches_central_differences(self):
         # f is quadratic in chi, so a central difference is exact up to
@@ -626,7 +645,7 @@ class TestLeastSquaresSeed:
         rng = np.random.default_rng(seed)
         counts = rng.uniform(0.0, exposure, size=(len(inputs), len(analyzers)))
         table = CountTable(2, inputs, tuple(analyzers), exposure, counts)
-        plan = _plan_for(basis, table.inputs, table.projectors)
+        plan = protocol_plan(basis, table.inputs, table.projectors)
         x = plan.seed_map @ (table.counts.reshape(-1) / exposure)
         chi = (hermitian_frame(4).T @ x).reshape(4, 4)
         linear = reconstruct_linear(table, basis).chi.mat
@@ -668,25 +687,23 @@ class TestRelabelledBasis:
 
 
 class TestPlanCache:
-    def test_custom_basis_builds_its_constants_once(self, monkeypatch):
-        calls = {"plan": 0, "design": 0}
-
-        def counted(key, fn):
-            def wrapper(*args):
-                calls[key] += 1
-                return fn(*args)
-            return wrapper
-
-        monkeypatch.setattr(mle, "_build_plan", counted("plan", mle._build_plan))
-        monkeypatch.setattr(simulator, "measurement_design",
-                            counted("design", tomography.measurement_design))
-        basis = _rotated_basis()  # a fresh object, so no cached constants
+    def test_custom_basis_builds_its_constants_once(self):
+        info = tomography.protocol_plan.cache_info
+        basis = _rotated_basis()  # a fresh object, so no cached plan
         chi = change_basis(ppbs_chi(PpbsParams.from_gamma(0.5)), basis)
-        for seed in range(3):
+        built = info().misses
+        table = simulate_counts(SimConfig(PpbsParams.from_gamma(0.5), seed=0), chi)
+        # the simulator alone builds the plan ...
+        assert info().misses == built + 1
+        hits = info().hits
+        fit_unconstrained(table, basis, FAST)
+        # ... that the fit then reads
+        assert info().misses == built + 1 and info().hits > hits
+        for seed in range(1, 3):
             table = simulate_counts(SimConfig(PpbsParams.from_gamma(0.5), seed=seed), chi)
             likelihood(chi, table)
             fit_unconstrained(table, basis, FAST)
-        assert calls == {"plan": 1, "design": 1}
+        assert info().misses == built + 1
 
     def test_copy_of_named_basis_fits_to_the_same_bits(self):
         copy = OperatorBasis(2, PB.ops.copy(), "pauli")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lossyqpt.mle import hermitian_frame
+from lossyqpt.tomography import hermitian_frame
 from lossyqpt.optimize import _RELAX, _RHO_FLOOR, _penalty, minimize_adaptive
 from lossyqpt.qmath import psd_projection
 

@@ -17,9 +17,7 @@ from lossyqpt.mle import _Misfit
 from lossyqpt.simulator import (
     PpbsParams,
     SimConfig,
-    derive_seed,
     expected_counts,
-    gamma_sweep,
     ppbs_chi,
     ppbs_kraus,
     ppbs_probability_operator,
@@ -178,38 +176,6 @@ class TestSimulateCounts:
         assert worst < 1e-8
 
 
-class TestGammaSweep:
-    def test_single_point_matches_simulate(self):
-        cfg = SimConfig(PpbsParams(1.0, 1.0), seed=3)
-        (gamma, table), = gamma_sweep([1.0], cfg)
-        direct = simulate_counts(
-            SimConfig(PpbsParams.from_gamma(1.0), seed=derive_seed(3, 0))
-        )
-        assert gamma == 1.0
-        assert np.array_equal(table.counts, direct.counts)
-
-    def test_deterministic_and_decorrelated(self):
-        cfg = SimConfig(PpbsParams(1.0, 1.0), seed=3)
-        s1 = gamma_sweep([0.879, 0.255], cfg)
-        s2 = gamma_sweep([0.879, 0.255], cfg)
-        for (g1, t1), (g2, t2) in zip(s1, s2):
-            assert g1 == g2
-            assert np.array_equal(t1.counts, t2.counts)
-        assert not np.array_equal(s1[0][1].counts, s1[1][1].counts)
-
-    def test_gamma_domain(self):
-        cfg = SimConfig(PpbsParams(1.0, 1.0))
-        with pytest.raises(DataError):
-            gamma_sweep([1.5], cfg)
-        with pytest.raises(DataError):
-            gamma_sweep([0.0], cfg)
-
-    def test_order_preserved(self):
-        cfg = SimConfig(PpbsParams(1.0, 1.0), seed=3, noise="none")
-        gammas = [0.9, 0.1, 0.5]
-        assert [g for g, _ in gamma_sweep(gammas, cfg)] == gammas
-
-
 def per_cell_counts(chi, exposure, inputs, analyzers):
     """The per-cell route exposure * Tr[Pi_b E(rho_a)], with E applied to
     each input state on its own: an oracle for the design matrix."""
@@ -261,7 +227,7 @@ class TestForwardModel:
 
     def test_reordered_basis_under_a_named_label(self):
         # the Pauli operators in the order (I, z, x, y), labelled "pauli":
-        # the counts must come from this basis's own design, not from the
+        # the counts must come from this basis's own plan, not from the
         # one cached for the named Pauli basis
         reordered = OperatorBasis(2, PB.ops[[0, 3, 1, 2]], "pauli")
         chi = ppbs_chi(PpbsParams.from_gamma(0.3))
