@@ -15,10 +15,12 @@ delta_jk) turns every fit into
     minimize 1/2 x^T H x - b^T x + c   over the positive semidefinite cone,
 
 a convex problem with a single optimum, which optimize.minimize_adaptive
-solves by Anderson-accelerated ADMM, projecting onto the cone with
-eigenvalue clipping (orthonormal coordinates make that projection the
-Euclidean one).  No restarts are needed, and the gradient matrix at the
-result certifies optimality.
+solves by Anderson-accelerated ADMM finished by semismooth Newton steps,
+projecting onto the cone with eigenvalue clipping (orthonormal
+coordinates make that projection the Euclidean one).  The projection, a
+qmath.PsdCone, keeps its eigendecomposition for the Newton steps.  No
+restarts are needed, and the gradient matrix at the result certifies
+optimality.
 
 Four reconstruction flavors, each reporting the misfit f of its chi
 through one report builder (the chi-space fits add their solver result):
@@ -82,11 +84,12 @@ from .tomography import RANK_TOL, CountTable, protocol_plan
 class FitOptions:
     """Solver and weighting knobs; defaults reproduce the standard fit.
 
-    maxfev caps the solver's iterations; xtol bounds its primal residual
-    (chi units) and its dual residual (relative to the data's gradient
-    scale).  The convex fit has a single start, so restarts and seed are
-    only recorded in the report.  constraint_tol, the largest ||P - I||_F
-    a trace-preserving fit may return, is a fixed class constant.
+    maxfev caps the solver's iterations (its projections onto the cone);
+    xtol bounds its primal residual (chi units) and its dual residual
+    (relative to the data's gradient scale).  The convex fit has a single
+    start, so restarts and seed are only recorded in the report.
+    constraint_tol, the largest ||P - I||_F a trace-preserving fit may
+    return, is a fixed class constant.
     """
 
     restarts: int = 4
@@ -169,8 +172,11 @@ class _Misfit:
     def chi(self, x: np.ndarray) -> ChiMatrix:
         return ChiMatrix(self.basis, self.matrix(x))
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return self.coords(qmath.psd_projection(self.matrix(x)))
+    @property
+    def project(self) -> qmath.PsdCone:
+        """A new PsdCone in these coordinates: project(x) is the
+        coordinates of the positive semidefinite projection of matrix(x)."""
+        return qmath.PsdCone(self.plan.lift)
 
     def congruence(self):
         """(T, T^-1): the frame-coordinate matrices of the congruence

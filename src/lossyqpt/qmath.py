@@ -8,6 +8,7 @@ tests and callers must not rely on individual eigenvectors there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,12 +86,62 @@ def psd_projection(m: np.ndarray) -> np.ndarray:
     """Nearest positive semidefinite matrix in Frobenius norm: the
     negative eigenvalues of Hermitian m clipped to zero.
 
-    This is the inner loop of the chi-space fits, whose callers build m
-    from real frame coordinates, Hermitian by construction; so m is not
-    validated: herm_eig's check costs about as much as the eigensolver.
+    m is not validated: herm_eig's check costs about as much as the
+    eigensolver.  The chi-space fits clip the same way through PsdCone,
+    which builds m from real frame coordinates, Hermitian by construction.
     """
     w, v = np.linalg.eigh(m)
     return (v * np.maximum(w, 0.0)).dot(v.conj().T)
+
+
+class PsdCone:
+    """The positive semidefinite cone of n x n matrices in real frame
+    coordinates x_k = Re Tr[F_k M], given by the frame's real lift (see
+    tomography.ProtocolPlan): calling it projects x onto the cone by the
+    eigenvalue clipping of psd_projection, and derivative() is the
+    Jacobian of that projection at the last x projected.
+
+    The cone keeps the last eigendecomposition M = Q diag(lambda) Q^H, so
+    the Jacobian needs no second eigensolver call.  The projection's
+    derivative along a Hermitian H is Q (Omega o Q^H H Q) Q^H, where
+    Omega_ij is the divided difference of max(lambda, 0) at lambda_i and
+    lambda_j: 1 where both are positive, 0 where neither is, and
+    lambda_+ / (lambda_+ - lambda_-) where one is positive and the other
+    not, a ratio in (0, 1] whose denominator is positive.
+    """
+
+    def __init__(self, lift: np.ndarray):
+        self.lift = lift
+        self.size = math.isqrt(lift.shape[1])
+        self.frame = np.ascontiguousarray(lift.T).view(complex)  # rows vec(F_k)
+        self._spectrum = None
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        n = self.size
+        w, q = np.linalg.eigh(self.lift.dot(x).view(complex).reshape(n, n))
+        self._spectrum = w, q
+        clipped = (q * np.maximum(w, 0.0)).dot(q.conj().T)
+        return clipped.reshape(-1).view(float).dot(self.lift)
+
+    def derivative(self) -> np.ndarray:
+        """D_jk = Re Tr[F_j Q (Omega o Q^H F_k Q) Q^H] at the last point
+        projected: symmetric, with eigenvalues in [0, 1]."""
+        w, q = self._spectrum
+        n = self.size
+        k = n - np.count_nonzero(w > 0.0)  # the eigenvalues <= 0 come first
+        # Omega with each entry repeated for the real and imaginary parts
+        omega = np.zeros((n, n, 2))
+        omega[k:, k:] = 1.0
+        positive = w[k:, None]
+        mixed = (positive / (positive - w[:k]))[:, :, None]
+        omega[k:, :k] = mixed
+        omega[:k, k:] = mixed.transpose(1, 0, 2)
+        # row k is vec(Q^H F_k Q) = vec(F_k)^T kron(conj Q, Q), split into
+        # real and imaginary parts, so that D is one real product
+        rotated = self.frame.dot(
+            (q.conj()[:, None, :, None] * q[None, :, None, :]).reshape(n * n, n * n)
+        ).view(float)
+        return (rotated * omega.reshape(-1)).dot(rotated.T)
 
 
 def psd_sqrt(

@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 from lossyqpt.tomography import hermitian_frame
 from lossyqpt.optimize import _RELAX, _RHO_FLOOR, _penalty, minimize_adaptive
-from lossyqpt.qmath import psd_projection
+from lossyqpt.qmath import PsdCone
 
 FRAME = hermitian_frame(4)
+# projection onto the cone in FRAME coordinates, with its Jacobian
+project = PsdCone(np.ascontiguousarray(FRAME.view(float).T))
 
 
 def coords(mat):
@@ -16,10 +18,6 @@ def coords(mat):
 
 def matrix(x):
     return (FRAME.T @ x).reshape(4, 4)
-
-
-def project(x):
-    return coords(psd_projection(matrix(x)))
 
 
 def random_unitary(rng, n):
@@ -160,6 +158,112 @@ class TestOneStepOracle:
         hessian = 0.5 * (hessian + hessian.T)
         assert textbook_rho(hessian)[1] == "spectrum"
         self.check_first_steps(rng, hessian, constrained, steps)
+
+
+def spectrum_matrix(seed, spectrum):
+    """Coordinates of Q diag(spectrum) Q^H for a random unitary Q."""
+    q = random_unitary(np.random.default_rng(seed), 4)
+    return coords((q * np.asarray(spectrum)) @ q.conj().T)
+
+
+class TestProjectionJacobian:
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2**32 - 1),
+           st.lists(st.floats(1e-3, 10.0), min_size=4, max_size=4),
+           st.lists(st.booleans(), min_size=4, max_size=4))
+    def test_matches_central_differences(self, seed, magnitudes, negative):
+        # eigenvalues of either sign, at least 1e-3 from zero, so that no
+        # difference step of 1e-7 moves one across it
+        x = spectrum_matrix(seed, np.where(negative, -1.0, 1.0) * np.array(magnitudes))
+        project(x)
+        jacobian = project.derivative()
+        h = 1e-7
+        columns = [(project(x + h * e) - project(x - h * e)) / (2 * h) for e in np.eye(16)]
+        assert np.abs(jacobian - np.array(columns).T).max() <= 1e-6
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2**32 - 1),
+           st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4))
+    def test_symmetric_with_spectrum_in_unit_interval(self, seed, spectrum):
+        project(spectrum_matrix(seed, spectrum))
+        jacobian = project.derivative()
+        assert np.abs(jacobian - jacobian.T).max() <= 1e-14
+        eigs = np.linalg.eigvalsh(jacobian)
+        assert eigs[0] >= -1e-12 and eigs[-1] <= 1.0 + 1e-12
+
+    def test_identity_inside_the_cone(self):
+        project(spectrum_matrix(1, [3.0, 1.0, 0.2, 1e-9]))
+        assert np.abs(project.derivative() - np.eye(16)).max() <= 1e-12
+
+    @pytest.mark.parametrize("spectrum", [
+        [-3.0, -1.0, -0.2, -1e-9],
+        [-1.0, -2.0, -1e-9, -1e-9],
+        [0.0] * 4,
+    ])
+    def test_zero_outside_the_cone(self, spectrum):
+        project(spectrum_matrix(2, spectrum))
+        assert np.abs(project.derivative()).max() <= 1e-12
+
+
+class TestNewtonSteps:
+    def test_budget_ends_on_rejected_extrapolation(self):
+        # the 17th step of this solve projects an extrapolated point that
+        # the safeguard rejects; out of budget there, the solve returns the
+        # last accepted point, the result of the 16th step, not the
+        # rejected one
+        rng = np.random.default_rng(3)
+        g = rng.normal(size=(16, 16))
+        hessian = g @ g.T + 4.0 * np.eye(16)
+        b = rng.normal(size=16) * 3.0
+        x0 = rng.normal(size=16)
+        equations = (rng.normal(size=(4, 16)), rng.normal(size=4))
+        projected = []
+
+        def spy(x):
+            projected.append(project(x))
+            return projected[-1]
+
+        spy.derivative = project.derivative
+
+        def f(x):
+            return 0.5 * x @ hessian @ x - b @ x, hessian @ x - b
+
+        def solve(maxfev):
+            return minimize_adaptive(f, x0, hessian, spy, equations=equations,
+                                     xtol=1e-15, maxfev=maxfev)
+
+        before, res = solve(16), solve(17)
+        assert res.iterations == 17 and not res.converged
+        assert not np.array_equal(res.x, projected[-1])
+        assert np.array_equal(res.x, before.x)
+        assert res.fun == f(res.x)[0]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_newton_candidates_count_as_iterations(self, seed):
+        # every projection is one iteration, Newton candidates included
+        rng = np.random.default_rng(seed)
+        v = random_unitary(rng, 4)
+        target = coords((v * np.array([2.0, 0.5, -0.3, -1.0])) @ v.conj().T)
+        g = rng.normal(size=(16, 16))
+        hessian = g @ g.T + np.eye(16)
+        b = hessian @ target
+        calls = []
+
+        def spy(x):
+            calls.append("projection")
+            return project(x)
+
+        def derivative():
+            calls.append("derivative")
+            return project.derivative()
+
+        spy.derivative = derivative
+        res = minimize_adaptive(lambda x: (0.5 * x @ hessian @ x - b @ x, hessian @ x - b),
+                                np.zeros(16), hessian, spy, xtol=1e-12)
+        assert res.converged
+        assert "derivative" in calls
+        # the start is projected once before the first step
+        assert res.iterations == calls.count("projection") - 1
 
 
 class TestPenalty:
