@@ -55,13 +55,8 @@ from .simulator import (
 )
 from .states import STATE_LABELS, state_catalog, state_density, state_ket
 from .tomography import (
-    BetaTensor,
     CountTable,
-    LambdaMatrix,
-    StateBasis,
-    TauTensor,
     build_beta,
-    canonical_state_basis,
     invert_beta,
     lambda_from_outputs,
     linear_inversion,

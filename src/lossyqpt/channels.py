@@ -115,22 +115,6 @@ def named_basis(label: str, dim: int) -> OperatorBasis:
     raise RepresentationError(f"no operator basis named {label!r} for d={dim}")
 
 
-def is_named(basis: OperatorBasis) -> bool:
-    """Whether basis is named_basis(basis.label, basis.dim) itself.
-
-    A label alone does not say so: a reordered Pauli basis may carry the
-    label "pauli".  The operators are compared, in order, with the named
-    ones, which costs a few microseconds.
-    """
-    if basis.label == "pauli" and basis.dim == 2:
-        named = PAULI
-    elif basis.label == "elementary-scaled" and basis.dim >= 2:
-        named = elementary_basis(basis.dim).ops
-    else:
-        return False
-    return np.array_equal(basis.ops, named)
-
-
 @dataclass(frozen=True)
 class ChiMatrix:
     """Process matrix chi_mn relative to a declared operator basis.

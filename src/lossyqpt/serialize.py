@@ -16,13 +16,7 @@ import sys
 
 import numpy as np
 
-from .channels import (
-    ChiMatrix,
-    ProbabilityOperator,
-    change_basis,
-    is_named,
-    named_basis,
-)
+from .channels import ChiMatrix, ProbabilityOperator, in_basis, named_basis
 from .errors import DataError
 from .tomography import CountTable
 
@@ -61,8 +55,7 @@ def chi_to_dict(chi: ChiMatrix) -> dict:
     label names (say, a reordered Pauli basis labelled "pauli") is changed
     into the named basis first; a label that names no basis raises
     RepresentationError."""
-    if not is_named(chi.basis):
-        chi = change_basis(chi, named_basis(chi.basis.label, chi.dim))
+    chi = in_basis(chi, named_basis(chi.basis.label, chi.dim))
     return {
         "schema": SCHEMA_VERSION,
         "kind": "chi_matrix",

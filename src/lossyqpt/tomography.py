@@ -7,19 +7,22 @@ its constants from the same plan.
 
 The beta/tau chain is the reference route from count data to a chi
 matrix; the linear fits in mle compute the same chi from the
-pseudo-inverse of the plan's design, and the tests compare the two:
+pseudo-inverse of the plan's design, and the tests compare the two.  It
+works in the matrix units E_k = |i><l| (k = i d + l, row-major), in which
+the expansion coefficients of a matrix are its entries:
 
   1. state_tomography turns the per-input analyzer counts into an
      unnormalized output density matrix whose trace estimates the success
      probability of that input.
-  2. lambda_from_outputs expresses each output in a fixed state basis and
-     solves for the coefficient matrix lambda of the linear map.
-  3. linear_inversion contracts lambda with the generalized inverse tau of
-     the beta tensor, giving chi in the chosen operator basis.
+  2. lambda_from_outputs solves for the coefficients lambda of the linear
+     map, E(E_j) = sum_k lambda_jk E_k.
+  3. linear_inversion contracts lambda with tau, the generalized inverse
+     of the beta tensor of build_beta, giving chi in the chosen operator
+     basis.
 
 On noiseless data this chain is exact.  On noisy data the resulting chi
-may be indefinite; it is returned unclamped, with the minimum eigenvalue
-reported.
+may be indefinite; it is returned unclamped, and its min_eigenvalue and
+is_psd say so.
 """
 
 from __future__ import annotations
@@ -33,76 +36,10 @@ from . import states as pol
 from .channels import ChiMatrix, OperatorBasis
 from .errors import DataError, RepresentationError, SingularSystemError
 
-_COND_LIMIT = 1e6
-
-
-@dataclass(frozen=True)
-class StateBasis:
-    """d^2 matrices spanning the space of d x d matrices."""
-
-    dim: int
-    states: np.ndarray  # shape (d*d, d, d)
-
-    def __post_init__(self):
-        s = np.asarray(self.states, dtype=complex)
-        d = self.dim
-        if s.shape != (d * d, d, d):
-            raise RepresentationError(
-                f"state basis for d={d} needs shape ({d * d},{d},{d}), got {s.shape}"
-            )
-        flat = s.reshape(d * d, d * d)
-        cond = np.linalg.cond(flat)
-        if cond > _COND_LIMIT:
-            raise SingularSystemError(
-                f"state basis condition number {cond:.3e} exceeds {_COND_LIMIT:.0e}"
-            )
-        object.__setattr__(self, "states", s)
-
-    def expand(self, mats: np.ndarray) -> np.ndarray:
-        """Coefficients of one or more matrices in this basis.
-
-        mats has shape (..., d, d); the result has shape (..., d*d) with
-        M = sum_k coeff[k] * states[k].
-        """
-        d = self.dim
-        flat = self.states.reshape(d * d, d * d).T  # columns are vec(rho_k)
-        vecs = np.asarray(mats, dtype=complex).reshape(-1, d * d).T
-        coeff = np.linalg.solve(flat, vecs).T
-        return coeff.reshape(np.shape(mats)[:-2] + (d * d,))
-
-
-@dataclass(frozen=True)
-class BetaTensor:
-    """beta^{mn}_{jk} with A_m rho_j A_n^dag = sum_k beta^{mn}_{jk} rho_k.
-
-    Stored as a d^4 x d^4 matrix: row index (j, k) flattened row-major,
-    column index (m, n), so that lambda_vec = mat @ chi_vec.
-    """
-
-    basis: OperatorBasis
-    states: StateBasis
-    mat: np.ndarray
-
-
-@dataclass(frozen=True)
-class TauTensor:
-    """Moore-Penrose inverse of a BetaTensor: chi_vec = mat @ lambda_vec."""
-
-    basis: OperatorBasis
-    states: StateBasis
-    mat: np.ndarray
-
-
-@dataclass(frozen=True)
-class LambdaMatrix:
-    """Coefficients lambda_jk of E(rho_j) = sum_k lambda_jk rho_k.
-
-    residual is the least-squares misfit of the overdetermined system that
-    produced it (zero when the prepared inputs are exactly d^2)."""
-
-    states: StateBasis
-    mat: np.ndarray
-    residual: float = 0.0
+# the largest exposure a table or a simulation may have: numpy's Poisson
+# sampler stops at means of ~9.2e18, and the chi-space fits converge up
+# to here but not at 1e40 and above
+MAX_EXPOSURE = 1e18
 
 
 @dataclass(frozen=True)
@@ -136,11 +73,12 @@ class CountTable:
         shape = (len(self.inputs), len(self.projectors))
         if c.shape != shape:
             raise DataError(f"counts must have shape {shape}, got {c.shape}")
-        if not np.all(np.isfinite(c)) or c.min() < 0:
-            raise DataError("counts must be finite and nonnegative")
-        if not (np.isfinite(self.exposure) and self.exposure > 0):
+        # a Poisson draw may exceed its mean, which is at most the exposure
+        if not np.all((c >= 0) & (c <= 2 * MAX_EXPOSURE)):
+            raise DataError(f"counts must lie in [0, {2 * MAX_EXPOSURE:g}]")
+        if not 0 < self.exposure <= MAX_EXPOSURE:
             raise DataError(
-                f"exposure must be finite and positive, got {self.exposure}"
+                f"exposure must lie in (0, {MAX_EXPOSURE:g}], got {self.exposure}"
             )
         object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "counts", c)
@@ -243,47 +181,25 @@ def _tp_equations(basis: OperatorBasis, frame: np.ndarray):
     return e_mat, e_rhs
 
 
-def canonical_state_basis(d: int) -> StateBasis:
-    """Matrix units |i><j| in lexicographic order; orthonormal under
-    the Hilbert-Schmidt inner product."""
-    if d < 2:
-        raise RepresentationError("state basis needs d >= 2")
-    s = np.zeros((d * d, d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            s[i * d + j, i, j] = 1.0
-    return StateBasis(d, s)
+def build_beta(basis: OperatorBasis) -> np.ndarray:
+    """beta with A_m E_j A_n^dag = sum_k beta[(j, k), (m, n)] E_k, as a
+    d^4 x d^4 array: row (j, k) and column (m, n) flattened row-major,
+    so that vec(lambda) = beta @ vec(chi)."""
+    n = basis.size
+    ops = basis.ops
+    # E_j = |a><b| with j = a d + b: A_m E_j A_n^dag has entry (i, l) equal
+    # to A_m[i, a] conj(A_n[l, b]), and k = i d + l
+    return np.einsum("mia,nlb->abilmn", ops, ops.conj()).reshape(n * n, n * n)
 
 
-def build_beta(basis: OperatorBasis, state_basis: StateBasis) -> BetaTensor:
-    """Expand every A_m rho_j A_n^dag in the state basis."""
-    if basis.dim != state_basis.dim:
-        raise RepresentationError("operator and state bases must share d")
-    d = basis.dim
-    n = d * d
-    # conj[(m,n), j] block of transformed states, expanded per (m, n, j)
-    mat = np.zeros((n * n, n * n), dtype=complex)
-    for m in range(n):
-        for nn in range(n):
-            transformed = np.einsum(
-                "ij,kjl,ml->kim",
-                basis.ops[m], state_basis.states, basis.ops[nn].conj(),
-            )
-            coeff = state_basis.expand(transformed)  # (j, k)
-            # lambda index (j, k) on rows, chi index (m, n) on columns
-            mat[:, m * n + nn] = coeff.reshape(-1)
-    return BetaTensor(basis, state_basis, mat)
-
-
-def invert_beta(beta: BetaTensor) -> TauTensor:
-    """Moore-Penrose generalized inverse of the beta tensor."""
-    mat = np.linalg.pinv(beta.mat, rcond=1e-10)
-    n4 = beta.mat.shape[1]
-    if np.abs(mat @ beta.mat - np.eye(n4)).max() > 1e-8:
+def invert_beta(beta: np.ndarray) -> np.ndarray:
+    """tau, the Moore-Penrose inverse of beta: vec(chi) = tau @ vec(lambda)."""
+    tau = np.linalg.pinv(beta, rcond=1e-10)
+    if np.abs(tau @ beta - np.eye(beta.shape[1])).max() > 1e-8:
         raise SingularSystemError(
             "beta tensor is rank deficient; tau @ beta does not recover identity"
         )
-    return TauTensor(beta.basis, beta.states, mat)
+    return tau
 
 
 def analyzer_dual_frame(projector_mats: np.ndarray) -> np.ndarray:
@@ -349,69 +265,40 @@ def state_tomography(counts_for_input, exposure: float) -> np.ndarray:
     return 0.5 * (rho + rho.conj().T)
 
 
-def lambda_from_outputs(
-    outputs,
-    inputs,
-    state_basis: StateBasis,
-) -> LambdaMatrix:
-    """Solve for the map coefficients lambda from tomographed outputs.
-
-    Args:
-        outputs: sequence of (unnormalized) output density matrices, one
-            per prepared input.
-        inputs: the prepared input states (density matrices), at least
-            d^2 of them spanning the state space.
-        state_basis: basis in which lambda is expressed.
-
-    Returns:
-        LambdaMatrix on the given basis, with the least-squares residual
-        of the overdetermined system.
-    """
+def lambda_from_outputs(outputs, inputs) -> np.ndarray:
+    """lambda with E(E_j) = sum_k lambda[j, k] E_k, the least-squares
+    solution for (unnormalized) outputs E(rho_a) of prepared inputs rho_a,
+    at least d^2 of them spanning the state space."""
     inputs = np.asarray(inputs, dtype=complex)
     outputs = np.asarray(outputs, dtype=complex)
     if inputs.shape != outputs.shape:
         raise DataError(
             f"got {outputs.shape[0]} outputs for {inputs.shape[0]} inputs"
         )
-    c = state_basis.expand(inputs)    # (a, j)
-    o = state_basis.expand(outputs)   # (a, k)
-    if np.linalg.matrix_rank(c, tol=1e-10) < state_basis.dim ** 2:
-        raise SingularSystemError(
-            "prepared inputs do not span the state space"
-        )
-    lam, *_ = np.linalg.lstsq(c, o, rcond=None)
-    residual = float(np.linalg.norm(c @ lam - o))
-    return LambdaMatrix(state_basis, lam, residual)
+    n = inputs.shape[-1] ** 2
+    # in the matrix units, a matrix's coefficients are its entries
+    c, o = inputs.reshape(-1, n), outputs.reshape(-1, n)
+    if np.linalg.matrix_rank(c, tol=1e-10) < n:
+        raise SingularSystemError("prepared inputs do not span the state space")
+    return np.linalg.lstsq(c, o, rcond=None)[0]
 
 
-@dataclass(frozen=True)
-class LinearInversionResult:
-    """Raw linear-inversion chi with positivity diagnostics attached."""
-
-    chi: ChiMatrix
-    min_eigenvalue: float
-    psd_ok: bool
-
-
-def linear_inversion(lam: LambdaMatrix, tau: TauTensor) -> LinearInversionResult:
-    """Contract lambda with tau: chi_mn = sum_jk tau^{mn}_{jk} lambda_jk.
+def linear_inversion(lam: np.ndarray, basis: OperatorBasis) -> ChiMatrix:
+    """chi_mn = sum_jk tau[(m, n), (j, k)] lambda_jk in the given basis.
 
     The result is exact algebra; for noisy data it can be indefinite and
-    is returned unclamped with a PSD flag.
+    is returned unclamped.
     """
-    n = tau.basis.size
-    chi_vec = tau.mat @ lam.mat.reshape(-1)
-    mat = chi_vec.reshape(n, n)
-    mat = 0.5 * (mat + mat.conj().T)
-    chi = ChiMatrix(tau.basis, mat)
-    return LinearInversionResult(chi, chi.min_eigenvalue(), chi.is_psd())
+    n = basis.size
+    mat = (invert_beta(build_beta(basis)) @ lam.reshape(-1)).reshape(n, n)
+    return ChiMatrix(basis, 0.5 * (mat + mat.conj().T))
 
 
 def reconstruct_linear(
     table: CountTable,
     basis: OperatorBasis,
     normalize_outputs: bool = False,
-) -> LinearInversionResult:
+) -> ChiMatrix:
     """Full linear-inversion pipeline from a count table.
 
     normalize_outputs=True rescales every tomographed output to unit
@@ -420,8 +307,6 @@ def reconstruct_linear(
     probability depends on the state; it exists so that the error it
     introduces can be demonstrated.
     """
-    d = table.dim
-    state_basis = canonical_state_basis(d)
     inputs = np.array([pol.state_density(lab) for lab in table.inputs])
     outputs = []
     for lab in table.inputs:
@@ -434,5 +319,4 @@ def reconstruct_linear(
                 )
             rho = rho / tr
         outputs.append(rho)
-    lam = lambda_from_outputs(np.array(outputs), inputs, state_basis)
-    return linear_inversion(lam, invert_beta(build_beta(basis, state_basis)))
+    return linear_inversion(lambda_from_outputs(outputs, inputs), basis)

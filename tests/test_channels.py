@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lossyqpt import serialize
 from lossyqpt.channels import (
     ChiMatrix,
     KrausSet,
@@ -11,7 +14,6 @@ from lossyqpt.channels import (
     change_basis,
     chi_from_kraus,
     elementary_basis,
-    is_named,
     jamiolkowski_state,
     kraus_from_chi,
     maximally_entangled_state,
@@ -60,6 +62,11 @@ def random_unitary(rng, n):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def random_hermitian_chi(rng, basis):
+    g = rng.normal(size=(basis.size,) * 2) + 1j * rng.normal(size=(basis.size,) * 2)
+    return ChiMatrix(basis, 0.5 * (g + g.conj().T))
+
+
 def random_state(rng, dim=2):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
@@ -82,17 +89,31 @@ class TestBases:
         eb = elementary_basis(3)
         assert eb.ops.shape == (9, 3, 3)
 
+    # a chi file names its basis by label: chi_to_dict writes a chi in the
+    # basis its label names as it is, and converts it otherwise
     def test_named_bases_are_named(self):
+        rng = np.random.default_rng(4)
         for basis in (PB, elementary_basis(2), elementary_basis(3),
                       named_basis("elementary-scaled", 4)):
-            assert is_named(basis)
-            assert is_named(OperatorBasis(basis.dim, basis.ops.copy(), basis.label))
+            chi = random_hermitian_chi(rng, basis)
+            doc = json.dumps(serialize.chi_to_dict(chi))
+            assert json.loads(doc)["mat"] == serialize.complex_matrix_to_json(chi.mat)
+            copy = OperatorBasis(basis.dim, basis.ops.copy(), basis.label)
+            assert json.dumps(serialize.chi_to_dict(ChiMatrix(copy, chi.mat))) == doc
 
     def test_label_alone_does_not_name_a_basis(self):
-        assert not is_named(REORDERED)
-        assert not is_named(OperatorBasis(2, elementary_basis(2).ops, "pauli"))
-        assert not is_named(OperatorBasis(2, PB.ops, "elementary-scaled"))
-        assert not is_named(OperatorBasis(2, PB.ops, "custom"))
+        rng = np.random.default_rng(5)
+        for basis in (REORDERED, OperatorBasis(2, elementary_basis(2).ops, "pauli"),
+                      OperatorBasis(2, PB.ops, "elementary-scaled")):
+            chi = random_hermitian_chi(rng, basis)
+            named = named_basis(basis.label, 2)
+            loaded = serialize.chi_from_dict(serialize.chi_to_dict(chi))
+            assert loaded.basis is named
+            assert np.abs(loaded.mat - change_basis(chi, named).mat).max() < 1e-12
+            assert np.abs(loaded.mat - chi.mat).max() > 1e-3
+        custom = OperatorBasis(2, PB.ops, "custom")
+        with pytest.raises(RepresentationError, match="custom"):
+            serialize.chi_to_dict(random_hermitian_chi(rng, custom))
 
     def test_bases_compare_by_identity(self):
         # equal operators and label, yet distinct objects: comparing them

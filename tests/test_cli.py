@@ -250,6 +250,7 @@ class TestBadValues:
         ("simulate", {"exposure": 1e19}, ("--gamma", "0.5")),
         ("simulate", {"seed": -1}, ("--gamma", "0.5")),
         ("sweep", {}, ("--gammas", "0.5", "--methods", "linear", "--seed", "-1")),
+        ("simulate", {"exposure": 1e19, "noise": "none"}, ("--gamma", "0.5")),
     ])
     def test_usage_error(self, tmp_path, capsys, command, config, flags):
         cfg = tmp_path / "cfg.json"
@@ -327,6 +328,23 @@ class TestBadValues:
         doc[field] = value
         counts.write_text(json.dumps(doc))
         capsys.readouterr()
+        code = run("reconstruct", "--counts", str(counts), "--method", method,
+                   "--out", str(tmp_path / "fit.json"))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "fit.json").exists()
+
+    @pytest.mark.parametrize("method", ["linear", "post-selected", "mle", "mle-tp"])
+    def test_extreme_exposure_is_data_error(self, tmp_path, capsys, method):
+        # the noiseless table of Gamma = 0.5 at 1e100 pairs per setting,
+        # at which the fits used to raise or write infinities
+        table = simulate_counts(SimConfig(PpbsParams.from_gamma(0.5), noise="none"))
+        doc = serialize.count_table_to_dict(table)
+        doc["exposure"] = 1e100
+        doc["counts"] = (table.counts * 1e96).tolist()
+        counts = tmp_path / "counts.json"
+        counts.write_text(json.dumps(doc))
         code = run("reconstruct", "--counts", str(counts), "--method", method,
                    "--out", str(tmp_path / "fit.json"))
         err = capsys.readouterr().err

@@ -256,10 +256,10 @@ class TestFitUnconstrained:
     def test_matches_linear_inversion_when_psd(self):
         table = table_for(0.7)
         li = reconstruct_linear(table, PB)
-        assert li.psd_ok
+        assert li.is_psd()
         report = fit_unconstrained(table, opts=FAST)
         rescaled = report.chi.mat * report.normalization_scale
-        assert np.abs(rescaled - li.chi.mat).max() < 1e-6
+        assert np.abs(rescaled - li.mat).max() < 1e-6
 
     def test_seeded_determinism(self):
         table = table_for(0.4, seed=9)
@@ -280,7 +280,7 @@ class TestFitUnconstrained:
         table = table_for(0.4, seed=17)
         report = fit_unconstrained(table, opts=FAST)
         li = reconstruct_linear(table, PB)
-        seed_value = likelihood(psd_projection(li.chi.mat), table)
+        seed_value = likelihood(psd_projection(li.mat), table)
         assert report.objective <= seed_value + 1e-12
 
 
@@ -690,15 +690,15 @@ class TestLeastSquaresSeed:
         plan = protocol_plan(basis, table.inputs, table.projectors)
         x = plan.seed_map @ (table.counts.reshape(-1) / exposure)
         chi = (hermitian_frame(4).T @ x).reshape(4, 4)
-        linear = reconstruct_linear(table, basis).chi.mat
+        linear = reconstruct_linear(table, basis).mat
         assert np.abs(chi - linear).max() <= 1e-10 * max(1.0, np.abs(linear).max())
         # the linear fits take the same map, the post-selected one after
         # normalizing each output state
         for fit, normalize in ((fit_linear, False), (fit_post_selected, True)):
-            reference = reconstruct_linear(table, basis, normalize_outputs=normalize)
+            reference = reconstruct_linear(table, basis, normalize_outputs=normalize).mat
             got = fit(table, basis).chi.mat
-            scale = max(1.0, np.abs(reference.chi.mat).max())
-            assert np.abs(got - reference.chi.mat).max() <= 1e-10 * scale
+            scale = max(1.0, np.abs(reference).max())
+            assert np.abs(got - reference).max() <= 1e-10 * scale
 
     @pytest.mark.parametrize("protocol", [
         {"inputs": ("H", "V", "D")},

@@ -169,10 +169,8 @@ class TestSimulateCounts:
         for gamma in np.linspace(0.1, 1.0, 10):
             params = PpbsParams.from_gamma(float(gamma))
             table = simulate_counts(SimConfig(params, noise="none"))
-            res = reconstruct_linear(table, PB)
-            worst = max(
-                worst, float(np.linalg.norm(res.chi.mat - ppbs_chi(params).mat))
-            )
+            chi = reconstruct_linear(table, PB)
+            worst = max(worst, float(np.linalg.norm(chi.mat - ppbs_chi(params).mat)))
         assert worst < 1e-8
 
 

@@ -1,16 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lossyqpt.channels import apply_channel, chi_from_kraus, pauli_basis, probability_operator
+from lossyqpt.channels import (
+    OperatorBasis,
+    apply_channel,
+    chi_from_kraus,
+    elementary_basis,
+    pauli_basis,
+    probability_operator,
+)
 from lossyqpt.errors import DataError, SingularSystemError
 from lossyqpt.simulator import SimConfig, PpbsParams, simulate_counts
 from lossyqpt.states import STATE_LABELS, state_catalog, state_density
 from lossyqpt.tomography import (
-    BetaTensor,
+    MAX_EXPOSURE,
     CountTable,
-    StateBasis,
     build_beta,
-    canonical_state_basis,
     invert_beta,
     lambda_from_outputs,
     linear_inversion,
@@ -19,7 +26,6 @@ from lossyqpt.tomography import (
 )
 
 PB = pauli_basis()
-UNITS = canonical_state_basis(2)
 
 
 def random_channel(rng, rank, dim=2):
@@ -32,93 +38,86 @@ def random_channel(rng, rank, dim=2):
     return chi_from_kraus([op / scale for op in ops], PB)
 
 
+def random_unitary(rng, n):
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def exact_table(chi, exposure=1e4, inputs=STATE_LABELS):
     cfg = SimConfig(PpbsParams(1.0, 1.0), exposure=exposure, noise="none", inputs=inputs)
     return simulate_counts(cfg, chi=chi)
 
 
 class TestCountTable:
-    @pytest.mark.parametrize("exposure", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("exposure", [0.0, -1.0, float("nan"), float("inf"), 1e19])
     def test_exposure_must_be_finite_and_positive(self, exposure):
         with pytest.raises(DataError, match="exposure"):
             CountTable(2, STATE_LABELS, STATE_LABELS, exposure, np.ones((6, 6)))
 
+    @pytest.mark.parametrize("count", [-1.0, 2.1e18, float("nan"), float("inf")])
+    def test_counts_must_lie_in_range(self, count):
+        counts = np.ones((6, 6))
+        counts[2, 3] = count
+        with pytest.raises(DataError, match="counts"):
+            CountTable(2, STATE_LABELS, STATE_LABELS, 1e4, counts)
 
-class TestStateBasis:
-    def test_canonical_units(self):
-        s = UNITS.states
-        assert np.allclose(s[0], [[1, 0], [0, 0]])
-        assert np.allclose(s[1], [[0, 1], [0, 0]])
-        assert np.allclose(s[2], [[0, 0], [1, 0]])
-        assert np.allclose(s[3], [[0, 0], [0, 1]])
-
-    def test_gram_is_identity(self):
-        flat = UNITS.states.reshape(4, 4)
-        gram = flat.conj() @ flat.T
-        assert np.allclose(gram, np.eye(4))
-
-    def test_d3_count(self):
-        assert canonical_state_basis(3).states.shape == (9, 3, 3)
-
-    def test_ill_conditioned_rejected(self):
-        states = UNITS.states.copy()
-        states[1] = states[0] * (1.0 + 1e-9)
-        with pytest.raises(SingularSystemError):
-            StateBasis(2, states)
+    def test_poisson_table_at_largest_exposure(self):
+        # an exposure at the bound is accepted, and draws overshoot their
+        # mean, the exposure itself on six cells
+        table = simulate_counts(SimConfig(PpbsParams(1.0, 1.0), exposure=MAX_EXPOSURE))
+        assert table.counts.max() > MAX_EXPOSURE
 
 
 class TestBetaTau:
     def test_identity_conjugation(self):
-        beta = build_beta(PB, UNITS)
+        beta = build_beta(PB)
         # A_0 = I: beta^{00}_{jk} = delta_jk
-        block = beta.mat[:, 0].reshape(4, 4)
+        block = beta[:, 0].reshape(4, 4)
         assert np.allclose(block, np.eye(4), atol=1e-12)
 
     def test_sigma_x_on_ground_unit(self):
-        beta = build_beta(PB, UNITS)
+        beta = build_beta(PB)
         # sigma_x |0><0| sigma_x = |1><1|: row (j=0, k=3), column (m=n=1)
-        col = beta.mat[:, 1 * 4 + 1].reshape(4, 4)
+        col = beta[:, 1 * 4 + 1].reshape(4, 4)
         assert np.allclose(col[0], [0, 0, 0, 1], atol=1e-12)
 
-    def test_defining_relation_random_bases(self):
-        rng = np.random.default_rng(21)
-        for _ in range(3):
-            g = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
-            try:
-                sb = StateBasis(2, g)
-            except SingularSystemError:
-                continue
-            beta = build_beta(PB, sb)
-            worst = 0.0
-            for m in range(4):
-                for n in range(4):
-                    for j in range(4):
-                        lhs = PB.ops[m] @ sb.states[j] @ PB.ops[n].conj().T
-                        coeff = beta.mat[j * 4 : j * 4 + 4, m * 4 + n]
-                        rhs = np.tensordot(coeff, sb.states, axes=(0, 0))
-                        worst = max(worst, np.abs(lhs - rhs).max())
-            assert worst < 1e-10
+    @settings(deadline=None, max_examples=40)
+    @given(st.sampled_from([PB, elementary_basis(2), elementary_basis(3)]),
+           st.integers(0, 2**32 - 1))
+    def test_defining_relation_random_bases(self, named, seed):
+        # B_m = sum_k U_mk A_k for a random unitary U is again a basis
+        u = random_unitary(np.random.default_rng(seed), named.size)
+        basis = OperatorBasis(named.dim, np.einsum("mk,kij->mij", u, named.ops),
+                              "rotated")
+        d, n = basis.dim, basis.size
+        units = np.eye(n).reshape(n, d, d)  # E_k = |i><l|, k = i d + l
+        beta = build_beta(basis).reshape(n, n, n, n)  # (j, k, m, nn)
+        lhs = np.einsum("mia,jab,nlb->jmnil", basis.ops, units, basis.ops.conj())
+        rhs = np.einsum("jkmn,kil->jmnil", beta, units)
+        assert np.abs(lhs - rhs).max() < 1e-10
+        tau = invert_beta(beta.reshape(n * n, n * n))
+        assert np.abs(tau @ beta.reshape(n * n, n * n) - np.eye(n * n)).max() < 1e-10
 
     def test_invert_identity(self):
-        beta = BetaTensor(PB, UNITS, np.eye(16, dtype=complex))
-        tau = invert_beta(beta)
-        assert np.allclose(tau.mat, np.eye(16))
+        tau = invert_beta(np.eye(16, dtype=complex))
+        assert np.allclose(tau, np.eye(16))
 
     def test_delta_relation(self):
-        beta = build_beta(PB, UNITS)
+        beta = build_beta(PB)
         tau = invert_beta(beta)
-        assert np.abs(tau.mat @ beta.mat - np.eye(16)).max() < 1e-10
+        assert np.abs(tau @ beta - np.eye(16)).max() < 1e-10
 
     def test_pseudo_inverse_axiom(self):
-        beta = build_beta(PB, UNITS)
+        beta = build_beta(PB)
         tau = invert_beta(beta)
-        assert np.abs(beta.mat @ tau.mat @ beta.mat - beta.mat).max() < 1e-8
+        assert np.abs(beta @ tau @ beta - beta).max() < 1e-8
 
     def test_singular_beta_rejected(self):
         mat = np.zeros((16, 16), dtype=complex)
         mat[0, 0] = 1.0
         with pytest.raises(SingularSystemError):
-            invert_beta(BetaTensor(PB, UNITS, mat))
+            invert_beta(mat)
 
 
 class TestStateTomography:
@@ -160,43 +159,49 @@ class TestStateTomography:
 class TestLambda:
     def test_identity_channel(self):
         inputs = np.array([state_density(lab) for lab in STATE_LABELS])
-        lam = lambda_from_outputs(inputs, inputs, UNITS)
-        assert np.abs(lam.mat - np.eye(4)).max() < 1e-12
-        assert lam.residual < 1e-10
+        lam = lambda_from_outputs(inputs, inputs)
+        assert np.abs(lam - np.eye(4)).max() < 1e-12
+
+    def test_matrix_units_row_major(self):
+        # sigma_x E_1 sigma_x = sigma_x |0><1| sigma_x = |1><0| = E_2
+        chi = chi_from_kraus([PB.ops[1]], PB)
+        inputs = np.array([state_density(lab) for lab in STATE_LABELS])
+        outputs = np.array([apply_channel(chi, r) for r in inputs])
+        lam = lambda_from_outputs(outputs, inputs)
+        assert np.abs(lam - np.eye(4)[[3, 2, 1, 0]]).max() < 1e-12
 
     def test_projective_ppbs_structure(self):
         # K = diag(1, 0): E(|u><v|) = delta_u0 delta_v0 |0><0|
         chi = chi_from_kraus([np.diag([1.0, 0.0]).astype(complex)], PB)
         inputs = np.array([state_density(lab) for lab in STATE_LABELS])
         outputs = np.array([apply_channel(chi, r) for r in inputs])
-        lam = lambda_from_outputs(outputs, inputs, UNITS)
+        lam = lambda_from_outputs(outputs, inputs)
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
-        assert np.abs(lam.mat - expected).max() < 1e-12
+        assert np.abs(lam - expected).max() < 1e-12
 
     def test_overcomplete_residual(self):
+        # six inputs for four unknowns: lambda must reproduce every output
         rng = np.random.default_rng(41)
         chi = random_channel(rng, 2)
         inputs = np.array([state_density(lab) for lab in STATE_LABELS])
         outputs = np.array([apply_channel(chi, r) for r in inputs])
-        lam = lambda_from_outputs(outputs, inputs, UNITS)
-        assert lam.residual < 1e-10
+        lam = lambda_from_outputs(outputs, inputs)
+        # vec(E(rho)) = vec(rho) @ lambda in the matrix units
+        assert np.abs(inputs.reshape(6, 4) @ lam - outputs.reshape(6, 4)).max() < 1e-12
 
     def test_rank_deficient_inputs(self):
         inputs = np.array([state_density("H")] * 4)
         with pytest.raises(SingularSystemError):
-            lambda_from_outputs(inputs, inputs, UNITS)
+            lambda_from_outputs(inputs, inputs)
 
 
 class TestLinearInversion:
     def test_identity_lambda(self):
-        from lossyqpt.tomography import LambdaMatrix
-
-        tau = invert_beta(build_beta(PB, UNITS))
-        lam = LambdaMatrix(UNITS, np.eye(4, dtype=complex))
-        res = linear_inversion(lam, tau)
-        assert np.abs(res.chi.mat - np.diag([1.0, 0, 0, 0])).max() < 1e-12
-        assert res.psd_ok
+        chi = linear_inversion(np.eye(4, dtype=complex), PB)
+        assert chi.basis is PB
+        assert np.abs(chi.mat - np.diag([1.0, 0, 0, 0])).max() < 1e-12
+        assert chi.is_psd()
 
     def test_noiseless_ppbs_grid(self):
         for t_h, t_v in [(1.0, 0.1), (1.0, 0.5), (0.8, 0.4), (0.6, 0.6)]:
@@ -204,18 +209,18 @@ class TestLinearInversion:
                 [np.diag([np.sqrt(t_h), np.sqrt(t_v)]).astype(complex)], PB
             )
             table = exact_table(chi)
-            res = reconstruct_linear(table, PB)
-            assert np.abs(res.chi.mat - chi.mat).max() < 1e-10
+            got = reconstruct_linear(table, PB)
+            assert np.abs(got.mat - chi.mat).max() < 1e-10
 
     def test_poisson_data_hermitian_and_flagged(self):
         cfg = SimConfig(PpbsParams(1.0, 0.2), seed=5)
         table = simulate_counts(cfg)
-        res = reconstruct_linear(table, PB)
-        dev = np.abs(res.chi.mat - res.chi.mat.conj().T).max()
+        chi = reconstruct_linear(table, PB)
+        dev = np.abs(chi.mat - chi.mat.conj().T).max()
         assert dev < 1e-12
-        assert isinstance(res.psd_ok, bool)
-        assert res.min_eigenvalue == pytest.approx(
-            np.linalg.eigvalsh(res.chi.mat)[0], abs=1e-10
+        assert isinstance(chi.is_psd(), bool)
+        assert chi.min_eigenvalue() == pytest.approx(
+            np.linalg.eigvalsh(chi.mat)[0], abs=1e-10
         )
 
 
@@ -226,8 +231,8 @@ class TestEndToEnd:
         for _ in range(30):
             chi = random_channel(rng, int(rng.integers(1, 5)))
             table = exact_table(chi)
-            res = reconstruct_linear(table, PB)
-            worst = max(worst, float(np.linalg.norm(res.chi.mat - chi.mat)))
+            got = reconstruct_linear(table, PB)
+            worst = max(worst, float(np.linalg.norm(got.mat - chi.mat)))
         assert worst < 1e-8
 
     def test_output_trace_matches_success_probability(self):
