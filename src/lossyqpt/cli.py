@@ -15,6 +15,11 @@ can always be traced to the exact invocation, while the data files
 themselves stay byte-identical across reruns with the same seed.  Exit
 codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 
+A call builds the parser of its own command only, next to the top-level
+one; the whole tree, with every command's parser, is built when the
+first argument names no command, for top-level help, --version and the
+error of a missing or unknown command, which list all four.
+
 A --config file is a JSON object whose keys are long flag names without
 the dashes ("gamma", "t-h", "weight-mode").  Each entry is parsed as the
 token --key=value, placed right after the subcommand, so a flag on the
@@ -343,39 +348,30 @@ def cmd_analyze_p(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The one declaration of every option: its type, choices and default,
-    for flags and --config entries alike."""
-    parser = _Parser(
-        prog="lossyqpt",
-        description="Process tomography of lossy polarization channels.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common_flags(p):
+    """The flags of every command."""
+    p.add_argument("--config",
+                   help="JSON object of long flag names; flags take precedence")
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config",
-                        help="JSON object of long flag names; flags take precedence")
-    common.add_argument("--seed", type=int, default=None,
-                        help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")
 
-    acquisition = argparse.ArgumentParser(add_help=False)
-    acquisition.add_argument("--exposure", type=float, default=SimConfig.exposure,
-                             help="expected pairs per setting (default %(default)g)")
-    acquisition.add_argument("--noise", choices=["poisson", "none"],
-                             default=SimConfig.noise)
+def _acquisition_flags(p):
+    p.add_argument("--exposure", type=float, default=SimConfig.exposure,
+                   help="expected pairs per setting (default %(default)g)")
+    p.add_argument("--noise", choices=["poisson", "none"], default=SimConfig.noise)
 
-    p = sub.add_parser("simulate", parents=[common, acquisition],
-                       help="generate a count table for the lossy device")
+
+def _simulate_flags(p):
+    _acquisition_flags(p)
     p.add_argument("--gamma", type=float, default=None,
                    help="transmittivity ratio; implies t_h=1, t_v=gamma")
     p.add_argument("--t-h", type=float, default=None)
     p.add_argument("--t-v", type=float, default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("reconstruct", parents=[common],
-                       help="fit a process matrix from a count table")
+
+def _reconstruct_flags(p):
     p.add_argument("--counts", required=True)
     p.add_argument("--method", choices=sorted(_METHODS), default="mle")
     p.add_argument("--reference", default=None,
@@ -387,30 +383,65 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight-mode", default=FitOptions.weight_mode,
                    help="floor or drop (default %(default)s)")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_reconstruct)
 
-    p = sub.add_parser("sweep", parents=[common, acquisition],
-                       help="scan the transmittivity ratio, write a CSV series")
+
+def _sweep_flags(p):
+    _acquisition_flags(p)
     p.add_argument("--gammas", default=None, help="comma-separated ratios")
     p.add_argument("--gamma-range", default=None, help="start:stop:count")
     p.add_argument("--methods", default="mle",
                    help=f"comma-separated subset of {sorted(_METHODS)}")
     p.add_argument("--repeats", type=int, default=1)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("analyze-p", parents=[common],
-                       help="report the success-probability operator of a chi file")
+
+def _analyze_p_flags(p):
     p.add_argument("--chi", required=True)
     p.add_argument("--on-unphysical", choices=["warn", "fail"], default="warn")
-    p.set_defaults(func=cmd_analyze_p)
 
+
+# name: (help line, handler, flag declaration), in the order help lists them
+_COMMANDS = {
+    "simulate": ("generate a count table for the lossy device",
+                 cmd_simulate, _simulate_flags),
+    "reconstruct": ("fit a process matrix from a count table",
+                    cmd_reconstruct, _reconstruct_flags),
+    "sweep": ("scan the transmittivity ratio, write a CSV series",
+              cmd_sweep, _sweep_flags),
+    "analyze-p": ("report the success-probability operator of a chi file",
+                  cmd_analyze_p, _analyze_p_flags),
+}
+
+
+def build_parser(commands=_COMMANDS) -> argparse.ArgumentParser:
+    """The parser of the named commands, all four by default: the one
+    declaration of every option, its type, choices and default, for flags
+    and --config entries alike.
+
+    main builds only the parser of the command a call names, so a call
+    does not pay for the other three; top-level help, --version and a
+    missing or unknown command get the whole tree, whose help and errors
+    list every command."""
+    parser = _Parser(
+        prog="lossyqpt",
+        description="Process tomography of lossy polarization channels.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in commands:
+        help_line, func, add_flags = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        _common_flags(p)
+        add_flags(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    # a first token that names no command is top-level help, --version or
+    # an error, which all need the whole tree
+    parser = build_parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS)
     try:
         args = parser.parse_args(argv)
         if args.config is not None:

@@ -30,7 +30,7 @@ from .channels import (
 )
 from .errors import DataError
 from .states import STATE_LABELS
-from .tomography import MAX_EXPOSURE, CountTable, protocol_plan
+from .tomography import MAX_EXPOSURE, MIN_EXPOSURE, CountTable, protocol_plan
 
 
 @dataclass(frozen=True)
@@ -78,9 +78,10 @@ class SimConfig:
     analyzers: tuple = STATE_LABELS
 
     def __post_init__(self):
-        if not 0 < self.exposure <= MAX_EXPOSURE:
+        if not MIN_EXPOSURE <= self.exposure <= MAX_EXPOSURE:
             raise DataError(
-                f"exposure must lie in (0, {MAX_EXPOSURE:g}], got {self.exposure}"
+                f"exposure must lie in [{MIN_EXPOSURE:g}, {MAX_EXPOSURE:g}], "
+                f"got {self.exposure}"
             )
         if self.noise not in ("poisson", "none"):
             raise DataError(f"noise must be 'poisson' or 'none', got {self.noise!r}")

@@ -41,6 +41,17 @@ from .errors import DataError, RepresentationError, SingularSystemError
 # to here but not at 1e40 and above
 MAX_EXPOSURE = 1e18
 
+# the largest rate counts / exposure a table may have.  A cell's rate
+# estimates a probability, so it exceeds one only by Poisson noise; a
+# far larger one means a wrong exposure, on which the linear fits write
+# P far above I and the trace-preserving fit fails (from rates of ~1e4).
+# From an exposure of MIN_EXPOSURE pairs on, a Poisson draw whose mean
+# is at most the exposure exceeds MAX_RATE times it with probability
+# below 1e-150, so the simulator takes exposures in [MIN_EXPOSURE,
+# MAX_EXPOSURE]
+MAX_RATE = 100.0
+MIN_EXPOSURE = 1.0
+
 
 @dataclass(frozen=True)
 class CountTable:
@@ -73,13 +84,13 @@ class CountTable:
         shape = (len(self.inputs), len(self.projectors))
         if c.shape != shape:
             raise DataError(f"counts must have shape {shape}, got {c.shape}")
-        # a Poisson draw may exceed its mean, which is at most the exposure
-        if not np.all((c >= 0) & (c <= 2 * MAX_EXPOSURE)):
-            raise DataError(f"counts must lie in [0, {2 * MAX_EXPOSURE:g}]")
         if not 0 < self.exposure <= MAX_EXPOSURE:
             raise DataError(
                 f"exposure must lie in (0, {MAX_EXPOSURE:g}], got {self.exposure}"
             )
+        if not np.all((c >= 0) & (c <= MAX_RATE * self.exposure)):
+            raise DataError(f"counts must lie in [0, {MAX_RATE:g} x exposure] = "
+                            f"[0, {MAX_RATE * self.exposure:g}]")
         object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "counts", c)
 

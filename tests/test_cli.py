@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lossyqpt import serialize
+from lossyqpt import __version__, cli, serialize
 from lossyqpt.channels import (
     ChiMatrix,
     OperatorBasis,
@@ -33,6 +34,143 @@ def write_reference(path, gamma):
     serialize.write_json(
         path, serialize.chi_to_dict(ppbs_chi(PpbsParams.from_gamma(gamma)))
     )
+
+
+# per command: a valid call, --help, an unknown flag, a missing required
+# flag, a bad choice, and --config files with a known and an unknown key
+# (in the working directory, which holds counts.json, chi.json and the
+# config files of the parser_case_files fixture)
+_PARSER_CASES = {
+    "simulate": [
+        ["--gamma", "0.5", "--seed", "3", "--out", "out.json"],
+        ["--help"],
+        ["--gamma", "0.5", "--bogus", "--out", "out.json"],
+        ["--gamma", "0.5"],
+        ["--gamma", "0.5", "--noise", "gauss", "--out", "out.json"],
+        ["--config", "simulate.json", "--out", "out.json"],
+        ["--config", "unknown.json", "--gamma", "0.5", "--out", "out.json"],
+    ],
+    "reconstruct": [
+        ["--counts", "counts.json", "--method", "linear", "--reference", "chi.json",
+         "--out", "out.json"],
+        ["--help"],
+        ["--counts", "counts.json", "--bogus", "--out", "out.json"],
+        ["--method", "linear", "--out", "out.json"],
+        ["--counts", "counts.json", "--method", "ml", "--out", "out.json"],
+        ["--counts", "counts.json", "--config", "reconstruct.json", "--out", "out.json"],
+        ["--counts", "counts.json", "--config", "unknown.json", "--out", "out.json"],
+    ],
+    "sweep": [
+        ["--gammas", "0.5", "--methods", "linear", "--out", "out.csv"],
+        ["--help"],
+        ["--gammas", "0.5", "--methods", "linear", "--bogus", "--out", "out.csv"],
+        ["--gammas", "0.5", "--methods", "linear"],
+        ["--gammas", "0.5", "--methods", "linear", "--noise", "gauss", "--out", "out.csv"],
+        ["--config", "sweep.json", "--out", "out.csv"],
+        ["--config", "unknown.json", "--gammas", "0.5", "--out", "out.csv"],
+    ],
+    "analyze-p": [
+        ["--chi", "chi.json"],
+        ["--help"],
+        ["--chi", "chi.json", "--bogus"],
+        [],
+        ["--chi", "chi.json", "--on-unphysical", "maybe"],
+        ["--chi", "chi.json", "--config", "analyze-p.json"],
+        ["--chi", "chi.json", "--config", "unknown.json"],
+    ],
+}
+_TOP_LEVEL_CASES = [[], ["--help"], ["-h", "simulate"], ["--version"], ["bogus"],
+                    ["--bogus"], ["Simulate"]]
+
+
+@pytest.fixture
+def parser_case_files(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    table = simulate_counts(SimConfig(PpbsParams.from_gamma(0.5), seed=3))
+    serialize.write_json("counts.json", serialize.count_table_to_dict(table))
+    write_reference("chi.json", 0.5)
+    configs = {"simulate": {"gamma": 0.5, "noise": "none"},
+               "reconstruct": {"method": "post-selected"},
+               "sweep": {"gammas": [0.5, 1.0], "methods": "linear"},
+               "analyze-p": {"on-unphysical": "fail"},
+               "unknown": {"bogus-key": 1}}
+    for name, config in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(config))
+    return tmp_path
+
+
+def _main_outcome(argv, capsys, directory):
+    """(exit code, stdout, stderr, bytes of the --out file or None)."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    written = None
+    for name in ("out.json", "out.csv"):
+        if (directory / name).exists():
+            written = (directory / name).read_bytes()
+            (directory / name).unlink()
+    return code, captured.out, captured.err, written
+
+
+class TestParserPerCommand:
+    """main builds the parser of the command it runs, or the whole tree
+    when the first argument names none; either way it behaves as the
+    whole tree does."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param([command, *flags], id=f"{command}-{i}")
+        for command, cases in _PARSER_CASES.items()
+        for i, flags in enumerate(cases)
+    ] + [pytest.param(argv, id=f"top-{i}") for i, argv in enumerate(_TOP_LEVEL_CASES)])
+    def test_same_outcome_as_the_whole_tree(self, parser_case_files, capsys,
+                                            monkeypatch, argv):
+        whole_tree = cli.build_parser
+        with monkeypatch.context() as m:
+            m.setattr(cli, "build_parser", lambda commands: whole_tree())
+            expected = _main_outcome(argv, capsys, parser_case_files)
+        assert _main_outcome(argv, capsys, parser_case_files) == expected
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        assert run("--help") == 0
+        out = capsys.readouterr().out
+        assert "{simulate,reconstruct,sweep,analyze-p}" in out
+        for help_line in ("generate a count table", "fit a process matrix",
+                          "scan the transmittivity ratio",
+                          "success-probability operator"):
+            assert help_line in out
+
+    def test_version(self, capsys):
+        assert run("--version") == 0
+        assert capsys.readouterr().out == f"{__version__}\n"
+
+    def test_no_command_is_usage_error(self, capsys):
+        assert run() == 2
+        assert capsys.readouterr().err == (
+            "error: the following arguments are required: command\n")
+
+    def test_unknown_command_lists_every_command(self, capsys):
+        assert run("bogus") == 2
+        assert capsys.readouterr().err == (
+            "error: argument command: invalid choice: 'bogus' (choose from "
+            "'simulate', 'reconstruct', 'sweep', 'analyze-p')\n")
+
+    @pytest.mark.parametrize("argv, added", [
+        (["analyze-p", "--chi", "chi.json"], ["analyze-p"]),
+        (["analyze-p", "--chi", "chi.json", "--config", "analyze-p.json"],
+         ["analyze-p"]),
+        (["--version"], ["simulate", "reconstruct", "sweep", "analyze-p"]),
+    ])
+    def test_subparsers_added_per_call(self, parser_case_files, capsys, monkeypatch,
+                                       argv, added):
+        names = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counting(self, name, **kwargs):
+            names.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        assert main(argv) == 0
+        assert names == added
 
 
 class TestSimulateCommand:
@@ -350,6 +488,24 @@ class TestBadValues:
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "fit.json").exists()
+
+    @pytest.mark.parametrize("method", ["linear", "post-selected", "mle", "mle-tp"])
+    @pytest.mark.parametrize("exposure", [1e-10, 1e-30, 1e-300])
+    def test_huge_rates_are_data_error(self, tmp_path, capsys, method, exposure):
+        # a simulated table whose exposure is too small for its counts; the
+        # fits used to raise LinAlgError or write P eigenvalues up to 1e303
+        counts = tmp_path / "counts.json"
+        run("simulate", "--gamma", "0.5", "--seed", "3", "--out", str(counts))
+        doc = json.loads(counts.read_text())
+        doc["exposure"] = exposure
+        counts.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run("reconstruct", "--counts", str(counts), "--method", method,
+                   "--out", str(tmp_path / "fit.json"))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: counts must lie in") and err.count("\n") == 1
         assert not (tmp_path / "fit.json").exists()
 
 

@@ -16,6 +16,8 @@ from lossyqpt.simulator import SimConfig, PpbsParams, simulate_counts
 from lossyqpt.states import STATE_LABELS, state_catalog, state_density
 from lossyqpt.tomography import (
     MAX_EXPOSURE,
+    MAX_RATE,
+    MIN_EXPOSURE,
     CountTable,
     build_beta,
     invert_beta,
@@ -67,6 +69,27 @@ class TestCountTable:
         # mean, the exposure itself on six cells
         table = simulate_counts(SimConfig(PpbsParams(1.0, 1.0), exposure=MAX_EXPOSURE))
         assert table.counts.max() > MAX_EXPOSURE
+
+    @pytest.mark.parametrize("exposure", [1.0, 1e-10, 1e-30, 1e-300])
+    def test_rates_are_bounded(self, exposure):
+        # counts / exposure estimates a probability: a table whose rates
+        # exceed MAX_RATE holds a wrong exposure, whatever its parts
+        counts = np.full((6, 6), MAX_RATE * exposure)
+        CountTable(2, STATE_LABELS, STATE_LABELS, exposure, counts)
+        counts[4, 1] *= 1.0 + 1e-12
+        with pytest.raises(DataError, match="counts"):
+            CountTable(2, STATE_LABELS, STATE_LABELS, exposure, counts)
+
+    def test_poisson_tables_at_smallest_exposure(self):
+        # where Poisson draws spread most in rate, they keep the rate bound
+        for seed in range(50):
+            simulate_counts(SimConfig(PpbsParams(1.0, 1.0), exposure=MIN_EXPOSURE,
+                                      seed=seed))
+
+    @pytest.mark.parametrize("exposure", [0.999, 1e-10])
+    def test_simulation_exposure_starts_at_min_exposure(self, exposure):
+        with pytest.raises(DataError, match="exposure"):
+            SimConfig(PpbsParams(1.0, 1.0), exposure=exposure)
 
 
 class TestBetaTau:
