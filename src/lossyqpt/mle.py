@@ -15,12 +15,15 @@ delta_jk) turns every fit into
     minimize 1/2 x^T H x - b^T x + c   over the positive semidefinite cone,
 
 a convex problem with a single optimum, which optimize.minimize_adaptive
-solves by Anderson-accelerated ADMM finished by semismooth Newton steps,
-projecting onto the cone with eigenvalue clipping (orthonormal
+solves by ADMM steps, each followed by a chain of semismooth Newton
+steps, projecting onto the cone with eigenvalue clipping (orthonormal
 coordinates make that projection the Euclidean one).  The projection, a
 qmath.PsdCone, keeps its eigendecomposition for the Newton steps.  No
 restarts are needed, and the gradient matrix at the result certifies
-optimality.
+optimality.  Counts, model and weights are scaled by exact powers of two
+before any product is formed, so a table at exposure 1e-300 or 1e18 is
+fitted like one at 1e4, and reported misfits that leave the
+floating-point range underflow to zero or raise DegenerateFitError.
 
 Four reconstruction flavors, each reporting the misfit f of its chi
 through one report builder (the chi-space fits add their solver result):
@@ -57,6 +60,7 @@ DegenerateFitError in the chi-space fits.
 
 from __future__ import annotations
 
+import math
 from copy import copy
 from dataclasses import dataclass, replace
 
@@ -134,7 +138,15 @@ class FitReport:
 
 
 class _Misfit:
-    """The weighted misfit of one count table in frame coordinates."""
+    """The weighted misfit of one count table in frame coordinates.
+
+    It is held in units in which no exposure over- or underflows: counts
+    and model counts are divided by count_unit = 2^k, the power of two
+    nearest above the exposure, and the weights by the power of two 2^e
+    nearest above the smallest of them, so that the largest inv_w lies in
+    (1, 2].  Both are exact, and f = 2^power times the misfit in these
+    units, with power = 2k - e.
+    """
 
     def __init__(self, counts: CountTable, basis, weight_mode):
         if basis is None:
@@ -143,23 +155,38 @@ class _Misfit:
             basis = pauli_basis()
         self.basis = basis
         self.plan = protocol_plan(basis, counts.inputs, counts.projectors)
-        model = counts.exposure * self.plan.design
+        k = math.frexp(counts.exposure)[1]
+        self.count_unit = math.ldexp(1.0, k)
+        model = math.ldexp(counts.exposure, -k) * self.plan.design
         n_flat = counts.counts.reshape(-1)
         amps = self.plan.amplitudes
         if weight_mode == "drop":
             keep = n_flat > 0
             model, n_flat, amps = model[keep], n_flat[keep], amps[keep]
-            self.inv_w = 1.0 / n_flat
+            weights = n_flat
         else:
-            self.inv_w = 1.0 / np.maximum(n_flat, 1.0)
-        self.model, self.n, self.amps = model, n_flat, amps
+            weights = np.maximum(n_flat, 1.0)
+        # 2^e / w from w = mantissa 2^exponent, so that a weight too small
+        # to matter next to the largest underflows quietly to zero
+        mantissa, exponent = np.frexp(weights)
+        e = int(exponent.min()) if exponent.size else 0
+        self.inv_w = np.ldexp(1.0 / mantissa, e - exponent)
+        self.model, self.n, self.amps = model, np.ldexp(n_flat, -k), amps
+        self.power = 2 * k - e
         self.hessian = 2.0 * (model.T * self.inv_w) @ model
 
     def __call__(self, x):
-        """(f, gradient of f) at coordinates x."""
+        """(f, gradient of f) at coordinates x, both divided by 2^power."""
         r = self.n - self.model @ x
         wr = self.inv_w * r
         return float(r @ wr), -2.0 * (self.model.T @ wr)
+
+    def unscaled(self, value):
+        """value times 2^power, exact; inf where that overflows."""
+        try:
+            return math.ldexp(value, self.power)
+        except OverflowError:
+            return math.inf
 
     def coords(self, mat: np.ndarray) -> np.ndarray:
         vec = np.ascontiguousarray(mat, complex).reshape(-1)
@@ -210,10 +237,12 @@ class _Misfit:
 
     def transformed(self, t: np.ndarray) -> _Misfit:
         """The misfit of y with x = T y: f(T y), gradient T^T grad f and
-        Hessian T^T H T."""
+        Hessian T^T H T, formed from the new model rather than from H so
+        that it stays positive semidefinite to the rounding of its own norm
+        where the weights span many orders of magnitude."""
         other = copy(self)
         other.model = self.model @ t
-        other.hessian = t.T @ self.hessian @ t
+        other.hessian = 2.0 * (other.model.T * self.inv_w) @ other.model
         return other
 
 
@@ -238,7 +267,7 @@ def likelihood(
     Hermitian array in `basis`)."""
     mat, basis = _chi_and_basis(chi, basis)
     misfit = _Misfit(counts, basis, weight_mode)
-    return misfit(misfit.coords(mat))[0]
+    return misfit.unscaled(misfit(misfit.coords(mat))[0])
 
 
 def likelihood_gradient(
@@ -253,7 +282,7 @@ def likelihood_gradient(
     `basis` if one is given, else in chi's own."""
     mat, basis = _chi_and_basis(chi, basis)
     misfit = _Misfit(counts, basis, weight_mode)
-    return misfit.matrix(misfit(misfit.coords(mat))[1])
+    return misfit.matrix(np.ldexp(misfit(misfit.coords(mat))[1], misfit.power))
 
 
 def _least_squares(misfit: _Misfit, counts: CountTable, post_select=False):
@@ -297,7 +326,7 @@ def _solve(counts, basis, opts, tp: bool):
     equations = misfit.plan.tp_equations if tp else None
     # with every cell kept, the plan's rank check already holds
     if len(misfit.n) == len(misfit.plan.design) or np.linalg.matrix_rank(
-            misfit.model, tol=RANK_TOL * counts.exposure) == x0.size:
+            misfit.model, tol=RANK_TOL * counts.exposure / misfit.count_unit) == x0.size:
         t, t_inv = misfit.congruence()
         problem, x0 = misfit.transformed(t), t_inv @ x0
         if tp:
@@ -313,11 +342,16 @@ def _solve(counts, basis, opts, tp: bool):
     )
     if t is not None:
         res = replace(res, x=t @ res.x)
-    return misfit, res
+    return misfit, replace(res, fun=misfit.unscaled(res.fun))
 
 
 def _report(method, chi, objective, opts, res=None, scale=1.0, residual=None):
-    """The FitReport of chi; res is the solver result, None without one."""
+    """The FitReport of chi; res is the solver result, None without one.
+    Raises DegenerateFitError if the misfit overflows."""
+    if not math.isfinite(objective):
+        raise DegenerateFitError(
+            f"the misfit of the {method} fit overflows: the table's weights span "
+            "more than the floating-point range")
     return FitReport(
         chi=chi,
         objective=objective,
@@ -345,7 +379,9 @@ def normalize_max_p(chi: ChiMatrix):
     pmax = float(p.eigenvalues[-1])
     if pmax <= 0.0:
         raise DegenerateFitError("cannot normalize a zero map (max P eigenvalue <= 0)")
-    return chi.scaled(1.0 / pmax), pmax
+    # real divisions: 1 / pmax, and numpy's complex division, overflow
+    # where P is tiny
+    return ChiMatrix(chi.basis, chi.mat.real / pmax + 1j * (chi.mat.imag / pmax)), pmax
 
 
 def fit_unconstrained(
@@ -391,7 +427,7 @@ def _fit_linear(counts, basis, opts, post_select: bool) -> FitReport:
     misfit = _Misfit(counts, basis, opts.weight_mode)
     x = _least_squares(misfit, counts, post_select)
     method = "post-selected" if post_select else "linear"
-    return _report(method, misfit.chi(x), misfit(x)[0], opts)
+    return _report(method, misfit.chi(x), misfit.unscaled(misfit(x)[0]), opts)
 
 
 def fit_linear(

@@ -6,10 +6,11 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lossyqpt import __version__, cli, serialize
@@ -24,6 +25,7 @@ from lossyqpt.cli import main
 from lossyqpt.errors import RepresentationError
 from lossyqpt.simulator import PpbsParams, SimConfig, ppbs_chi, simulate_counts
 from lossyqpt.states import STATE_LABELS
+from lossyqpt.tomography import MAX_RATE
 
 
 def run(*argv):
@@ -575,6 +577,86 @@ class TestCountTableFuzz:
             assert err.getvalue().startswith("error: ")
             assert "Traceback" not in err.getvalue()
             assert not os.path.exists(out)
+
+
+@st.composite
+def accepted_count_docs(draw):
+    """A count-table document the reader accepts: exposure log-uniform in
+    [1e-300, 1e18], rates counts / exposure anywhere in [0, MAX_RATE],
+    some inputs never detected and some cells dark."""
+    doc = _valid_count_doc()
+    exposure = 10.0 ** draw(st.floats(-300.0, 18.0))
+    rates = np.array(draw(st.lists(st.floats(0.0, MAX_RATE), min_size=36,
+                                   max_size=36))).reshape(6, 6)
+    rates[np.array(draw(st.lists(st.booleans(), min_size=6, max_size=6)))] = 0.0
+    doc["exposure"] = exposure
+    doc["counts"] = (rates * exposure).tolist()
+    return doc
+
+
+def _count_doc(exposure, cells):
+    """A count-table document with the given exposure and nonzero cells
+    {(row, column): count}."""
+    doc = _valid_count_doc()
+    doc["exposure"] = exposure
+    doc["counts"] = [[cells.get((i, j), 0.0) for j in range(6)] for i in range(6)]
+    return doc
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} in the output")
+
+
+class TestAcceptedTableFuzz:
+    @settings(deadline=None, max_examples=25)
+    @given(accepted_count_docs(), st.sampled_from(["floor", "drop"]))
+    # a lone count of 1.1e-308: the fitted P is so small that 1 / max P
+    # overflows
+    @example(_count_doc(1.0, {(5, 5): 1.1125369292536007e-308}), "floor")
+    # dropped-weight cells spanning 57 orders of magnitude: the whitened
+    # Hessian, formed as T^T H T, was indefinite rounding noise
+    @example(_count_doc(4.438696666015727e-163, {
+        (0, 0): 5.904724238895963e-162, (0, 1): 1.0789463388287924e-218,
+        (0, 2): 4.438696666015727e-173, (0, 3): 4.438696666015727e-161,
+        (0, 4): 1.9370079349304546e-162, (0, 5): 2.656231233077068e-161,
+        (2, 0): 1.682759590598286e-161, (2, 1): 1.4785843771026866e-161,
+        (2, 3): 3.770937196589897e-161, (2, 5): 3.868342069181357e-161,
+        (4, 0): 2.9121144474244978e-161, (4, 1): 3.4174496596550774e-161,
+        (4, 2): 3.66261829581704e-161, (4, 3): 2.45281337444498e-161,
+        (4, 4): 1.3951334464066547e-161, (5, 0): 7.101914665625163e-163,
+        (5, 1): 1.0749694168964401e-161, (5, 2): 2.1947026317049958e-161,
+        (5, 3): 1.5156997951410628e-161, (5, 4): 1.331608999804718e-162}), "drop")
+    # dropped weights spanning 271 orders of magnitude: the x-step matrix
+    # of H + rho I bordered by the P = I rows was singular to working
+    # precision
+    @example(_count_doc(9.999999999999918e17, {
+        **{cell: 9.999999999999918e17 for cell in [
+            (0, 1), (0, 3), (0, 4), (0, 5), (1, 1), (1, 5), (2, 2), (2, 4),
+            (2, 5), (3, 0), (3, 2), (4, 1), (4, 4), (4, 5), (5, 2)]},
+        (1, 3): 1.0699031309277172e-253}), "drop")
+    def test_every_method_exits_cleanly(self, doc, weight_mode):
+        # a table the reader accepts, at any exposure, is fitted or refused
+        # with a clean exit; an output never holds Infinity or NaN, and
+        # nothing warns (a warning here would be an error)
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts = os.path.join(tmp, "counts.json")
+            with open(counts, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            for method in ("linear", "post-selected", "mle", "mle-tp"):
+                out = os.path.join(tmp, f"{method}.json")
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = run("reconstruct", "--counts", counts, "--method", method,
+                               "--weight-mode", weight_mode, "--maxfev", "3000",
+                               "--out", out)
+                assert code in (0, 3, 4), err.getvalue()
+                assert "Traceback" not in err.getvalue()
+                if code == 0:
+                    with open(out, encoding="utf-8") as fh:
+                        json.load(fh, parse_constant=_reject_constant)
+                else:
+                    assert err.getvalue().startswith("error: ")
 
 
 def _valid_chi_doc():

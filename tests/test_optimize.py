@@ -87,34 +87,73 @@ def textbook_rho(hessian):
     return max(extremes, spectrum), "extremes" if extremes >= spectrum else "spectrum"
 
 
-def textbook_admm(hessian, b, x0, equations, steps):
-    """z after `steps` relaxed-ADMM steps on 1/2 x.H.x - b.x over the cone
-    (and E x = e), from z = project(x0), u = 0, written out step by step."""
+def textbook_step(hessian, b, equations, z, u):
+    """v = relaxed x + u after one relaxed-ADMM x-step on 1/2 x.H.x - b.x
+    (and E x = e) from (z, u), written out."""
     n = b.size
     rho, _ = textbook_rho(hessian)
-    z, u = project(x0), np.zeros(n)
-    for _ in range(steps):
-        # x = argmin f(x) + rho/2 ||x - z + u||^2, subject to E x = e
-        if equations is None:
-            x = np.linalg.solve(hessian + rho * np.eye(n), b + rho * (z - u))
+    # x = argmin f(x) + rho/2 ||x - z + u||^2, subject to E x = e
+    if equations is None:
+        x = np.linalg.solve(hessian + rho * np.eye(n), b + rho * (z - u))
+    else:
+        e_mat, e_rhs = equations
+        m = e_mat.shape[0]
+        kkt = np.zeros((n + m, n + m))
+        kkt[:n, :n] = hessian + rho * np.eye(n)
+        kkt[:n, n:] = e_mat.T
+        kkt[n:, :n] = e_mat
+        x = np.linalg.solve(kkt, np.concatenate([b + rho * (z - u), e_rhs]))[:n]
+    return _RELAX * x + (1.0 - _RELAX) * z + u
+
+
+def textbook_jacobian(v):
+    """Jacobian of the projection at v, from its own eigendecomposition:
+    column k is Q (Omega o Q^H F_k Q) Q^H with Omega the divided
+    differences of max(lambda, 0)."""
+    lam, q = np.linalg.eigh(matrix(v))
+    pos = np.maximum(lam, 0.0)
+    omega = np.empty((4, 4))
+    for i, j in np.ndindex(4, 4):
+        if lam[i] == lam[j]:
+            omega[i, j] = float(lam[i] > 0.0)
         else:
-            e_mat, e_rhs = equations
-            m = e_mat.shape[0]
-            kkt = np.zeros((n + m, n + m))
-            kkt[:n, :n] = hessian + rho * np.eye(n)
-            kkt[:n, n:] = e_mat.T
-            kkt[n:, :n] = e_mat
-            x = np.linalg.solve(kkt, np.concatenate([b + rho * (z - u), e_rhs]))[:n]
-        relaxed = _RELAX * x + (1.0 - _RELAX) * z
-        z_new = project(relaxed + u)
-        u = u + relaxed - z_new
-        z = z_new
-    return z
+            omega[i, j] = (pos[i] - pos[j]) / (lam[i] - lam[j])
+    return np.array([coords(q @ (omega * (q.conj().T @ f @ q)) @ q.conj().T)
+                     for f in FRAME.reshape(16, 4, 4)]).T
+
+
+def textbook_solve(hessian, b, x0, equations, steps):
+    """z after one relaxed-ADMM step from z = project(x0), u = 0 and, for
+    steps = 2, the first semismooth Newton candidate on its fixed-point
+    residual R(v) = G(v) - v, kept only if ||R|| falls."""
+    n = b.size
+    z = project(x0)
+    v = textbook_step(hessian, b, equations, z, np.zeros(n))
+    if steps == 1:
+        return project(v)
+
+    def step_of_v(v):  # G(v): the step from (Pi(v), v - Pi(v))
+        z = project(v)
+        return textbook_step(hessian, b, equations, z, v - z)
+
+    # G is affine in (Pi(v), v - Pi(v)): its linear part, column by column
+    eye, zero = np.eye(n), np.zeros(n)
+    offset = textbook_step(hessian, b, equations, zero, zero)
+    lin_z = np.array([textbook_step(hessian, b, equations, e, zero) - offset
+                      for e in eye]).T
+    lin_u = np.array([textbook_step(hessian, b, equations, zero, e) - offset
+                      for e in eye]).T
+    jac = textbook_jacobian(v)
+    newton = lin_z @ jac + lin_u @ (eye - jac) - eye
+    residual = step_of_v(v) - v
+    candidate = v - np.linalg.solve(newton, residual)
+    kept = np.linalg.norm(step_of_v(candidate) - candidate) < np.linalg.norm(residual)
+    return project(candidate if kept else v)
 
 
 class TestOneStepOracle:
-    # Anderson acceleration first moves the point stepped from at step 3,
-    # so the first two steps are plain relaxed ADMM
+    # step 1 is a relaxed ADMM step and, as it does not converge, step 2
+    # the first Newton candidate from its v
     @staticmethod
     def check_first_steps(rng, hessian, constrained, steps):
         b = rng.normal(size=16) * 3.0
@@ -128,7 +167,7 @@ class TestOneStepOracle:
 
         res = minimize_adaptive(f, x0, hessian, project, equations=equations,
                                 xtol=1e-15, maxfev=steps)
-        expected = textbook_admm(hessian, b, x0, equations, steps)
+        expected = textbook_solve(hessian, b, x0, equations, steps)
         assert res.iterations == steps and not res.converged
         assert np.abs(res.x - expected).max() <= 1e-12
         assert res.fun == f(res.x)[0]
@@ -206,24 +245,29 @@ class TestProjectionJacobian:
 
 
 class TestNewtonSteps:
-    def test_budget_ends_on_rejected_extrapolation(self):
-        # the 17th step of this solve projects an extrapolated point that
-        # the safeguard rejects; out of budget there, the solve returns the
-        # last accepted point, the result of the 16th step, not the
-        # rejected one
+    def test_budget_ends_on_rejected_newton_candidate(self):
+        # the 9th projection of this solve is the third Newton candidate of
+        # its second chain, and it does not lower ||R||; out of budget
+        # there, the solve returns the state it kept, the result of the
+        # 8th projection, not the rejected candidate
         rng = np.random.default_rng(3)
         g = rng.normal(size=(16, 16))
         hessian = g @ g.T + 4.0 * np.eye(16)
         b = rng.normal(size=16) * 3.0
         x0 = rng.normal(size=16)
         equations = (rng.normal(size=(4, 16)), rng.normal(size=4))
-        projected = []
+        calls, projected = [], []
 
         def spy(x):
+            calls.append("projection")
             projected.append(project(x))
             return projected[-1]
 
-        spy.derivative = project.derivative
+        def derivative():
+            calls.append("derivative")
+            return project.derivative()
+
+        spy.derivative = derivative
 
         def f(x):
             return 0.5 * x @ hessian @ x - b @ x, hessian @ x - b
@@ -232,8 +276,10 @@ class TestNewtonSteps:
             return minimize_adaptive(f, x0, hessian, spy, equations=equations,
                                      xtol=1e-15, maxfev=maxfev)
 
-        before, res = solve(16), solve(17)
-        assert res.iterations == 17 and not res.converged
+        before, res = solve(8), solve(9)
+        assert res.iterations == 9 and not res.converged
+        # a Newton candidate is the projection that follows a Jacobian
+        assert calls[-2:] == ["derivative", "projection"]
         assert not np.array_equal(res.x, projected[-1])
         assert np.array_equal(res.x, before.x)
         assert res.fun == f(res.x)[0]

@@ -220,7 +220,8 @@ class TestForwardModel:
         mu = expected_counts(chi, exposure, inputs, analyzers)
         table = CountTable(2, inputs, analyzers, exposure, mu)
         misfit = _Misfit(table, chi.basis, "floor")
-        model = misfit.model @ misfit.coords(chi.mat)
+        # the misfit holds model counts in units of count_unit
+        model = misfit.count_unit * (misfit.model @ misfit.coords(chi.mat))
         assert np.abs(model - mu.ravel()).max() <= 1e-12 * exposure
 
     def test_reordered_basis_under_a_named_label(self):
