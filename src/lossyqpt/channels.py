@@ -257,12 +257,16 @@ def change_basis(chi: ChiMatrix, target: OperatorBasis) -> ChiMatrix:
     """Re-express chi in another normalized basis of the same dimension.
 
     The conversion chi' = C chi C^dag with C_pm = Tr[B_p^dag A_m]/d is
-    unitary, so spectra, traces and fidelities are unchanged.
+    unitary, so spectra, traces and fidelities are unchanged.  chi itself
+    is returned if its operators are those of target, in order: the same
+    label does not make the same basis, only the operators do.
     """
     if target.dim != chi.dim:
         raise RepresentationError(
             f"cannot change basis across dimensions {chi.dim} -> {target.dim}"
         )
+    if chi.basis is target or np.array_equal(chi.basis.ops, target.ops):
+        return chi
     c = np.einsum("pij,mij->pm", target.ops.conj(), chi.basis.ops) / chi.dim
     return ChiMatrix(target, c @ chi.mat @ c.conj().T)
 
@@ -276,10 +280,9 @@ def probability_operator(chi: ChiMatrix) -> ProbabilityOperator:
     """
     left, right = chi.basis._p_factors
     d, n = chi.dim, chi.basis.size
-    # two matrix products, summed in the order of numpy's optimized einsum
-    # path for this contraction, so P matches it bit for bit, down to the
-    # sign of zero entries, which analyze-p prints;
-    # t[i, j, m] = sum_n conj(A_n)[j, i] chi_mn
+    # two matrix products in a fixed summation order: a change of order
+    # changes the P that analyze-p prints, down to the sign of its zero
+    # entries; t[i, j, m] = sum_n conj(A_n)[j, i] chi_mn
     t = (left @ chi.mat.T).reshape(d, d, n)
     p = t.transpose(1, 0, 2).reshape(d, d * n) @ right
     p = 0.5 * (p + p.conj().T)
@@ -315,21 +318,12 @@ def jamiolkowski_state(chi: ChiMatrix) -> np.ndarray:
     return change_basis(chi, elementary_basis(chi.dim)).mat.copy()
 
 
-def in_basis(chi: ChiMatrix, basis: OperatorBasis) -> ChiMatrix:
-    """chi itself if its operators are those of `basis`, else chi changed
-    into `basis`."""
-    # the same label does not make the same basis; only the operators do
-    if chi.basis is basis or np.array_equal(chi.basis.ops, basis.ops):
-        return chi
-    return change_basis(chi, basis)
-
-
 def _common_basis(chi_a: ChiMatrix, chi_b: ChiMatrix):
     if chi_a.dim != chi_b.dim:
         raise RepresentationError(
             f"cannot compare channels of dimension {chi_a.dim} and {chi_b.dim}"
         )
-    return chi_a, in_basis(chi_b, chi_a.basis)
+    return chi_a, change_basis(chi_b, chi_a.basis)
 
 
 def process_fidelity_tp(chi_a: ChiMatrix, chi_b: ChiMatrix) -> float:

@@ -47,12 +47,13 @@ complete protocol.  The chi-space fits start from its positive
 semidefinite projection and are deterministic given the count table.
 Both are solved for a whitened chi' = S chi S^H, a congruence built from
 the weighted per-cell amplitudes that keeps the cone and its
-eigenvalue-clipping projection.  On benchmark tables it about halves the
-solver steps of the trace-preserving fit and, with the solver's
-whole-spectrum penalty, cuts those of the unconstrained fit by about
-40 %.  Only a table whose kept cells do not determine chi is solved in
-chi itself.  Everything that depends only on the protocol comes from
-tomography.protocol_plan, the plan the simulator reads too.  A protocol
+eigenvalue-clipping projection.  Unwhitened, the MLE and
+trace-preserving fits of the benchmark's 300 held-out tables take 5 106
+projections instead of 4 347, and the largest fit of optimize's harder
+grid 99 instead of 21.  Only a table whose kept cells do not determine
+chi is solved in chi itself.  Everything that depends only on the
+protocol comes from tomography.protocol_plan, the plan the simulator
+reads too.  A protocol
 whose inputs or analyzers do not determine chi raises
 SingularSystemError, and a table without counts raises
 DegenerateFitError in the chi-space fits.
@@ -70,7 +71,7 @@ from . import qmath
 from .channels import (
     ChiMatrix,
     OperatorBasis,
-    in_basis,
+    change_basis,
     pauli_basis,
     probability_operator,
 )
@@ -138,7 +139,9 @@ class FitReport:
 
 
 class _Misfit:
-    """The weighted misfit of one count table in frame coordinates.
+    """The weighted misfit of one count table in frame coordinates, and
+    the cone of chi in them (a qmath.PsdCone, which converts coordinates
+    to matrices and back).
 
     It is held in units in which no exposure over- or underflows: counts
     and model counts are divided by count_unit = 2^k, the power of two
@@ -155,6 +158,7 @@ class _Misfit:
             basis = pauli_basis()
         self.basis = basis
         self.plan = protocol_plan(basis, counts.inputs, counts.projectors)
+        self.cone = qmath.PsdCone(self.plan.lift)
         k = math.frexp(counts.exposure)[1]
         self.count_unit = math.ldexp(1.0, k)
         model = math.ldexp(counts.exposure, -k) * self.plan.design
@@ -173,7 +177,6 @@ class _Misfit:
         self.inv_w = np.ldexp(1.0 / mantissa, e - exponent)
         self.model, self.n, self.amps = model, np.ldexp(n_flat, -k), amps
         self.power = 2 * k - e
-        self.hessian = 2.0 * (model.T * self.inv_w) @ model
 
     def __call__(self, x):
         """(f, gradient of f) at coordinates x, both divided by 2^power."""
@@ -188,22 +191,8 @@ class _Misfit:
         except OverflowError:
             return math.inf
 
-    def coords(self, mat: np.ndarray) -> np.ndarray:
-        vec = np.ascontiguousarray(mat, complex).reshape(-1)
-        return vec.view(float).dot(self.plan.lift)
-
-    def matrix(self, x: np.ndarray) -> np.ndarray:
-        n = self.basis.size
-        return self.plan.lift.dot(x).view(complex).reshape(n, n)
-
     def chi(self, x: np.ndarray) -> ChiMatrix:
-        return ChiMatrix(self.basis, self.matrix(x))
-
-    @property
-    def project(self) -> qmath.PsdCone:
-        """A new PsdCone in these coordinates: project(x) is the
-        coordinates of the positive semidefinite projection of matrix(x)."""
-        return qmath.PsdCone(self.plan.lift)
+        return ChiMatrix(self.basis, self.cone.matrix(x))
 
     def congruence(self):
         """(T, T^-1): the frame-coordinate matrices of the congruence
@@ -224,25 +213,18 @@ class _Misfit:
         eigs, vecs = np.linalg.eigh(k)
         eigs = np.maximum(eigs, _RHO_FLOOR * eigs[-1])
         roots = np.sqrt(eigs / eigs[0])
-        lift = self.plan.lift
-        # the frame matrices F_k, read back from the lift
-        frame = np.ascontiguousarray(lift.T).view(complex).reshape(len(lift.T), *k.shape)
+        frame = self.cone.frame.reshape(-1, *k.shape)  # the matrices F_k
 
         def coordinates_of(op):
-            mats = op @ frame @ op.conj().T
-            return (mats.reshape(len(frame), -1).view(float) @ lift).T
+            return self.cone.coords(op @ frame @ op.conj().T).T
 
         return (coordinates_of((vecs / roots) @ vecs.conj().T),
                 coordinates_of((vecs * roots) @ vecs.conj().T))
 
     def transformed(self, t: np.ndarray) -> _Misfit:
-        """The misfit of y with x = T y: f(T y), gradient T^T grad f and
-        Hessian T^T H T, formed from the new model rather than from H so
-        that it stays positive semidefinite to the rounding of its own norm
-        where the weights span many orders of magnitude."""
+        """The misfit of y with x = T y: f(T y) and gradient T^T grad f."""
         other = copy(self)
         other.model = self.model @ t
-        other.hessian = 2.0 * (other.model.T * self.inv_w) @ other.model
         return other
 
 
@@ -253,7 +235,7 @@ def _chi_and_basis(chi, basis):
         return np.asarray(chi, dtype=complex), basis
     if basis is None:
         return chi.mat, chi.basis
-    return in_basis(chi, basis).mat, basis
+    return change_basis(chi, basis).mat, basis
 
 
 def likelihood(
@@ -267,7 +249,7 @@ def likelihood(
     Hermitian array in `basis`)."""
     mat, basis = _chi_and_basis(chi, basis)
     misfit = _Misfit(counts, basis, weight_mode)
-    return misfit.unscaled(misfit(misfit.coords(mat))[0])
+    return misfit.unscaled(misfit(misfit.cone.coords(mat))[0])
 
 
 def likelihood_gradient(
@@ -282,7 +264,8 @@ def likelihood_gradient(
     `basis` if one is given, else in chi's own."""
     mat, basis = _chi_and_basis(chi, basis)
     misfit = _Misfit(counts, basis, weight_mode)
-    return misfit.matrix(np.ldexp(misfit(misfit.coords(mat))[1], misfit.power))
+    cone = misfit.cone
+    return cone.matrix(np.ldexp(misfit(cone.coords(mat))[1], misfit.power))
 
 
 def _least_squares(misfit: _Misfit, counts: CountTable, post_select=False):
@@ -313,7 +296,10 @@ def _solve(counts, basis, opts, tp: bool):
     in y is at most xtol in chi.  When dropped dark cells leave chi
     undetermined, the optimum is not unique and the whitened solve can
     stall or diverge where the plain one converges, so such a fit keeps
-    frame coordinates.
+    frame coordinates.  The Hessian 2 M^T W M is formed from the model M of
+    the problem solved, not as T^T H T, so that it stays positive
+    semidefinite to the rounding of its own norm where the weights span
+    many orders of magnitude.
     """
     if not counts.counts.any():
         # grad f(0) = 0 would set the solver's dual tolerance to zero
@@ -331,15 +317,9 @@ def _solve(counts, basis, opts, tp: bool):
         problem, x0 = misfit.transformed(t), t_inv @ x0
         if tp:
             equations = (equations[0] @ t, equations[1])
-    res = minimize_adaptive(
-        problem,
-        x0,
-        problem.hessian,
-        misfit.project,
-        equations=equations,
-        xtol=opts.xtol,
-        maxfev=opts.maxfev,
-    )
+    hessian = 2.0 * (problem.model.T * problem.inv_w) @ problem.model
+    res = minimize_adaptive(problem, x0, hessian, misfit.cone, equations=equations,
+                            xtol=opts.xtol, maxfev=opts.maxfev)
     if t is not None:
         res = replace(res, x=t @ res.x)
     return misfit, replace(res, fun=misfit.unscaled(res.fun))

@@ -25,16 +25,21 @@ lambda_max + rho] however E is scaled.  The matrix of H + rho I
 bordered by E can instead be singular to working precision: on a
 whitened table whose dropped weights span 271 orders of magnitude,
 H ~ 1e-24 stands next to E's unit rows.  The penalty rho adapts to the
-problem: it is the geometric mean of H's whole spectrum, never below
-the geometric mean of its extreme eigenvalues, the optimum for
-well-conditioned strongly convex quadratics (Ghadimi et al., IEEE
-Trans. Autom. Control 60, 644 (2015)).  The extreme-eigenvalue rule alone sets rho far too low where
-one eigenvalue stands far above the rest and a few lie near zero: on
-whitened chi fits, and on the singular Hessians of count tables whose
-kept cells do not determine chi.  The whole-spectrum mean alone falls
-to about 4e-10 of lambda_max on a Hessian of rank one, where the
-extreme-eigenvalue bound keeps 1e-6.  f itself is evaluated twice per
-solve, for b = -grad f(0) and at the result.
+problem: it is the geometric mean of H's eigenvalues above _MEAN_FLOOR
+lambda_max, never below the geometric mean of its extreme eigenvalues,
+the optimum for well-conditioned strongly convex quadratics (Ghadimi et
+al., IEEE Trans. Autom. Control 60, 644 (2015)).  The extreme-eigenvalue
+rule alone sets rho far too low where one eigenvalue stands far above
+the rest and a few lie near zero: on whitened chi fits, and on the
+singular Hessians of count tables whose kept cells do not determine
+chi.  The null eigenvalues of a singular H stay out of the mean, so a
+rank-one H gets rho = lambda_max.  Each null eigenvalue counted at
+_MEAN_FLOOR lambda_max would pull rho down by a factor of
+_MEAN_FLOOR^(1/n): on 60 drop-weight tables with 5-9 lit cells, that
+leaves 29 MLE fits unconverged within 3 000 projections and 23
+trace-preserving fits short of P = I, where 1 and 0 fail with the
+null eigenvalues left out.  f itself is evaluated twice per solve, for
+b = -grad f(0) and at the result.
 
 One ADMM step is a fixed-point map of the state w = (z, u).  The
 x-step, the relaxation and the dual update are all affine in w, so one
@@ -85,13 +90,8 @@ about 1.4 ADMM steps.  Over the MLE and TP fits of the 300 held-out
 tables op_inputs("fit-sweep", 7, i) of the benchmark this loop takes
 4 347 projections (largest fit 11); over a harder grid of 240 tables
 (Gamma in {1, .55, .255, .1, .02} x exposures 1e2, 1e4, 1e6, 1e7 x 6
-seeds) 1 761 with floored dark cells (largest fit 16) and 1 540 with
-dropped ones.  The Newton steps once waited for the residual to fall
-to 1e-3 of the first step's, with Anderson-accelerated ADMM (a damped
-20-step memory) until then and a backoff after rejected chains; that
-took 8 027, 3 610 (largest fit 85) and 2 612 projections.  Where no
-candidate is ever kept, on tables whose lit cells leave the optimum a
-set, about four fifths of the projections are candidates.
+seeds) 1 848 with floored dark cells (largest fit 21) and 1 540 with
+dropped ones.
 """
 
 from __future__ import annotations
@@ -104,14 +104,17 @@ import numpy as np
 # largest in the extreme-eigenvalue bound on rho, so that bound stays
 # positive on a singular H (sqrt(1e-12) = 1e-6 of the largest)
 _RHO_FLOOR = 1e-12
-# in the whole-spectrum mean, each eigenvalue of H counts as at least
-# this fraction of the largest, so near-null directions cannot drag the
-# mean to zero
+# the geometric mean that sets rho runs over the eigenvalues of H above
+# this fraction of the largest, so that null and near-null directions
+# cannot drag it down
 _MEAN_FLOOR = 1e-10
 # over-relaxation of the x-step in the z- and u-updates (Boyd et al.,
 # "Distributed optimization and statistical learning via the alternating
-# direction method of multipliers", 2011, sec. 3.4.3); it saves about a
-# third of the iterations here
+# direction method of multipliers", 2011, sec. 3.4.3).  Without it the
+# held-out tables take 4 599 projections instead of 4 347, and of 36
+# drop-weight fits of tables with one cell at 1e-10 ... 1e-35 counts
+# (tests/test_mle.py's table_for(0.5, seed) for seeds 1-3, cell (H, V))
+# 18 stop unconverged instead of 13
 _RELAX = 1.6
 # the most Newton candidates taken after one ADMM step
 _NEWTON_CHAIN = 4
@@ -129,14 +132,14 @@ class MinimizeResult:
 def _penalty(hessian: np.ndarray) -> float:
     """The ADMM penalty rho of a positive semidefinite H: the larger of
     sqrt(max(lambda_min, _RHO_FLOOR lambda_max) lambda_max) and the
-    geometric mean of the eigenvalues, each floored at _MEAN_FLOOR
-    lambda_max; 1 for H = 0."""
+    geometric mean of the eigenvalues above _MEAN_FLOOR lambda_max; 1 for
+    H = 0."""
     eigs = np.linalg.eigvalsh(hessian)
     top = float(eigs[-1])
     if top <= 0.0:
         return 1.0
     extremes = np.sqrt(max(float(eigs[0]), _RHO_FLOOR * top) * top)
-    spectrum = np.exp(np.log(np.maximum(eigs, _MEAN_FLOOR * top)).mean())
+    spectrum = np.exp(np.log(eigs[eigs > _MEAN_FLOOR * top]).mean())
     return float(max(extremes, spectrum))
 
 

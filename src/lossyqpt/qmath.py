@@ -38,11 +38,6 @@ class EigDecomposition:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def hermitian_deviation(m: np.ndarray) -> float:
-    """max|M - M^dag|, the absolute deviation from Hermiticity."""
-    return float(np.abs(m - m.conj().T).max())
-
-
 def require_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     """Validate shape, finiteness and Hermiticity, returning the
     symmetrized matrix.
@@ -57,10 +52,11 @@ def require_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     if not np.isfinite(peak):
         raise RepresentationError(f"{what} has a non-finite entry")
     scale = max(1.0, peak)
-    if hermitian_deviation(m) > _HERM_TOL * scale:
+    deviation = float(np.abs(m - m.conj().T).max())
+    if deviation > _HERM_TOL * scale:
         raise RepresentationError(
             f"{what} is not Hermitian within tolerance "
-            f"(deviation {hermitian_deviation(m):.3e}, scale {scale:.3e})"
+            f"(deviation {deviation:.3e}, scale {scale:.3e})"
         )
     return 0.5 * (m + m.conj().T)
 
@@ -97,7 +93,8 @@ def psd_projection(m: np.ndarray) -> np.ndarray:
 class PsdCone:
     """The positive semidefinite cone of n x n matrices in real frame
     coordinates x_k = Re Tr[F_k M], given by the frame's real lift (see
-    tomography.ProtocolPlan): calling it projects x onto the cone by the
+    tomography.ProtocolPlan).  coords(M) and matrix(x) convert between
+    matrices and coordinates; calling the cone projects x onto it by the
     eigenvalue clipping of psd_projection, and derivative() is the
     Jacobian of that projection at the last x projected.
 
@@ -116,12 +113,21 @@ class PsdCone:
         self.frame = np.ascontiguousarray(lift.T).view(complex)  # rows vec(F_k)
         self._spectrum = None
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def coords(self, mats: np.ndarray) -> np.ndarray:
+        """The coordinates of one n x n matrix, or a row of coordinates per
+        matrix of a stack."""
+        mats = np.ascontiguousarray(mats, complex)
+        return mats.reshape(mats.shape[:-2] + (-1,)).view(float).dot(self.lift)
+
+    def matrix(self, x: np.ndarray) -> np.ndarray:
+        """The n x n matrix sum_k x_k F_k."""
         n = self.size
-        w, q = np.linalg.eigh(self.lift.dot(x).view(complex).reshape(n, n))
+        return self.lift.dot(x).view(complex).reshape(n, n)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        w, q = np.linalg.eigh(self.matrix(x))
         self._spectrum = w, q
-        clipped = (q * np.maximum(w, 0.0)).dot(q.conj().T)
-        return clipped.reshape(-1).view(float).dot(self.lift)
+        return self.coords((q * np.maximum(w, 0.0)).dot(q.conj().T))
 
     def derivative(self) -> np.ndarray:
         """D_jk = Re Tr[F_j Q (Omega o Q^H F_k Q) Q^H] at the last point

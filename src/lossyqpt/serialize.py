@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .channels import ChiMatrix, ProbabilityOperator, in_basis, named_basis
+from .channels import ChiMatrix, ProbabilityOperator, change_basis, named_basis
 from .errors import DataError
 from .tomography import CountTable
 
@@ -55,7 +55,7 @@ def chi_to_dict(chi: ChiMatrix) -> dict:
     label names (say, a reordered Pauli basis labelled "pauli") is changed
     into the named basis first; a label that names no basis raises
     RepresentationError."""
-    chi = in_basis(chi, named_basis(chi.basis.label, chi.dim))
+    chi = change_basis(chi, named_basis(chi.basis.label, chi.dim))
     return {
         "schema": SCHEMA_VERSION,
         "kind": "chi_matrix",
@@ -100,17 +100,24 @@ def count_table_to_dict(table: CountTable) -> dict:
 
 
 def count_table_from_dict(doc: dict) -> CountTable:
+    """The count table of a file; exposure and every count must be JSON
+    numbers, not strings or booleans."""
     _check_kind(doc, "count_table")
     try:
         for what in ("inputs", "projectors"):
             if not isinstance(doc[what], list):
                 raise DataError(f"count table {what} must be a list of labels")
+        exposure, counts = doc["exposure"], doc["counts"]
+        # JSON numbers only: float() would take "1e4" and True too
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                   for v in [exposure, *(c for row in counts for c in row)]):
+            raise DataError("count table exposure and counts must be JSON numbers")
         return CountTable(
             dim=doc["dim"],
             inputs=tuple(doc["inputs"]),
             projectors=tuple(doc["projectors"]),
-            exposure=float(doc["exposure"]),
-            counts=np.array(doc["counts"], dtype=float),
+            exposure=float(exposure),
+            counts=np.array(counts, dtype=float),
         )
     except KeyError as exc:
         raise DataError(f"count table missing field {exc}") from None

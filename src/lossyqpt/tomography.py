@@ -111,10 +111,19 @@ RANK_TOL = 1e-10
 def hermitian_frame(n: int) -> np.ndarray:
     """Rows: vec of n*n Hermitian n x n matrices F_k, orthonormal under
     Re Tr[F_j F_k].  Coordinates x_k = Re Tr[F_k M] of a Hermitian M give
-    vec(M) = frame.T @ x and ||M||_F = ||x||."""
-    herm = _hermitian_basis(n)
-    herm = herm / np.linalg.norm(herm, axis=(1, 2))[:, None, None]
-    return herm.reshape(n * n, n * n)
+    vec(M) = frame.T @ x and ||M||_F = ||x||: first the diagonal matrix
+    units, then for each i < j the symmetric and the antisymmetric
+    combinations of |i><j| and |j><i|."""
+    frame = np.zeros((n * n, n, n), dtype=complex)
+    diag = np.arange(n)
+    frame[diag, diag, diag] = 1.0
+    i, j = np.triu_indices(n, 1)
+    k = n + 2 * np.arange(i.size)
+    frame[k, i, j] = frame[k, j, i] = 1.0
+    frame[k + 1, i, j] = -1j
+    frame[k + 1, j, i] = 1j
+    frame[n:] /= np.sqrt(2.0)
+    return frame.reshape(n * n, n * n)
 
 
 @dataclass(frozen=True)
@@ -214,7 +223,8 @@ def invert_beta(beta: np.ndarray) -> np.ndarray:
 
 
 def analyzer_dual_frame(projector_mats: np.ndarray) -> np.ndarray:
-    """Dual frame {M_b} of a set of analyzer projectors.
+    """Dual frame {M_b} of a set of analyzer projectors, expanded in
+    hermitian_frame.
 
     The linear estimator rho_hat = sum_b p_b M_b inverts p_b = Tr[Pi_b rho]
     in the least-squares sense.  Requires the projectors to span the
@@ -222,33 +232,14 @@ def analyzer_dual_frame(projector_mats: np.ndarray) -> np.ndarray:
     """
     projs = np.asarray(projector_mats, dtype=complex)
     nb, d, _ = projs.shape
-    herm_basis = _hermitian_basis(d)
-    t = np.einsum("bij,aji->ba", projs, herm_basis).real  # Tr[Pi_b h_a]
+    frame = hermitian_frame(d).reshape(d * d, d, d)
+    t = np.einsum("bij,aji->ba", projs, frame).real  # Tr[Pi_b F_a]
     if np.linalg.matrix_rank(t, tol=1e-10) < d * d:
         raise SingularSystemError(
             "analyzer set is not informationally complete for state tomography"
         )
     tinv = np.linalg.pinv(t)  # (d*d, nb)
-    return np.einsum("ab,aij->bij", tinv, herm_basis)
-
-
-def _hermitian_basis(d: int) -> np.ndarray:
-    """An orthogonal real basis of Hermitian d x d matrices."""
-    out = []
-    for i in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[i, i] = 1.0
-        out.append(e)
-    for i in range(d):
-        for j in range(i + 1, d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = e[j, i] = 1.0
-            out.append(e)
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = -1j
-            e[j, i] = 1j
-            out.append(e)
-    return np.array(out)
+    return np.einsum("ab,aij->bij", tinv, frame)
 
 
 def state_tomography(counts_for_input, exposure: float) -> np.ndarray:

@@ -436,3 +436,25 @@ class TestProcessFidelity:
         ref = ChiMatrix(PB, np.diag([1.0, 0, 0, 0]).astype(complex))
         with pytest.raises(RepresentationError):
             process_fidelity_ntp(chi, ref)
+
+
+class TestErrorPaths:
+    """Representations the channel layer refuses."""
+
+    def test_fidelity_across_dimensions(self):
+        qubit = ChiMatrix(pauli_basis(), np.eye(4) / 4)
+        qutrit = ChiMatrix(elementary_basis(3), np.eye(9) / 9)
+        with pytest.raises(RepresentationError, match="dimension 2 and 3"):
+            process_fidelity_ntp(qubit, qutrit)
+
+    def test_chi_of_the_wrong_size(self):
+        with pytest.raises(RepresentationError, match="must be 4x4"):
+            ChiMatrix(pauli_basis(), np.eye(3))
+
+    def test_basis_of_the_wrong_shape(self):
+        with pytest.raises(RepresentationError, match="needs 4 operators"):
+            OperatorBasis(2, np.zeros((3, 2, 2)), "three")
+
+    def test_elementary_basis_of_dimension_one(self):
+        with pytest.raises(RepresentationError, match="d >= 2"):
+            elementary_basis(1)

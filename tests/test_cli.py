@@ -1024,3 +1024,79 @@ class TestRoundTrip:
     def test_schema_version_checked(self):
         with pytest.raises(Exception, match="schema"):
             serialize.chi_from_dict({"schema": 2, "kind": "chi_matrix"})
+
+
+def _count_doc_with(**fields):
+    """The count-table document of a simulated table with some fields
+    replaced."""
+    doc = _valid_count_doc()
+    doc.update(fields)
+    return doc
+
+
+class TestErrorPaths:
+    """Calls that end in an error no other test reaches: each exits with
+    its code and an `error: ` line on stderr, never with a traceback, and
+    writes no output."""
+
+    def test_transmittivity_flags(self, tmp_path):
+        out = tmp_path / "counts.json"
+        assert run("simulate", "--t-h", "1", "--t-v", "0.3", "--seed", "2",
+                   "--out", str(out)) == 0
+        expected = simulate_counts(SimConfig(PpbsParams(1.0, 0.3), seed=2))
+        doc = json.loads(out.read_text())
+        assert doc["counts"] == serialize.count_table_to_dict(expected)["counts"]
+        manifest = json.loads((tmp_path / doc["manifest"]).read_text())
+        assert (manifest["config"]["t_h"], manifest["config"]["t_v"]) == (1.0, 0.3)
+
+    FILES = {
+        "array.json": [1, 2],
+        "labels.json": _count_doc_with(inputs="HVDARL"),
+        "invalid.json": "{not json",
+        "exposure-string.json": _count_doc_with(exposure="10000"),
+        # counts within the rate bound of an exposure of 1
+        "exposure-bool.json": _count_doc_with(exposure=True, counts=[[1] * 6] * 6),
+        "counts-strings.json": _count_doc_with(
+            counts=[[str(c) for c in row] for row in _valid_count_doc()["counts"]]),
+        "counts-bools.json": _count_doc_with(counts=[[True] * 6] * 6),
+    }
+
+    @pytest.mark.parametrize("argv, seed_env, code", [
+        pytest.param(("sweep", "--gammas", "0.5", "--methods", "linear", "--repeats", "0"),
+                     None, 2, id="zero-repeats"),
+        pytest.param(("sweep", "--gamma-range", "0.1:1.0", "--methods", "linear"),
+                     None, 2, id="gamma-range-two-fields"),
+        pytest.param(("sweep", "--gamma-range", "a:b:3", "--methods", "linear"),
+                     None, 2, id="gamma-range-not-numbers"),
+        pytest.param(("simulate", "--gamma", "0.5"), "1.5", 2, id="seed-env-not-integer"),
+        pytest.param(("simulate", "--config", "array.json", "--gamma", "0.5"),
+                     None, 3, id="config-array"),
+        pytest.param(("reconstruct", "--counts", "array.json", "--method", "linear"),
+                     None, 3, id="counts-file-array"),
+        pytest.param(("reconstruct", "--counts", "labels.json", "--method", "linear"),
+                     None, 3, id="inputs-not-a-list"),
+        pytest.param(("reconstruct", "--counts", "invalid.json", "--method", "linear"),
+                     None, 3, id="counts-file-invalid-json"),
+        # exposure and counts must be JSON numbers, not strings or booleans
+        pytest.param(("reconstruct", "--counts", "exposure-string.json", "--method",
+                      "linear"), None, 3, id="exposure-string"),
+        pytest.param(("reconstruct", "--counts", "exposure-bool.json", "--method",
+                      "linear"), None, 3, id="exposure-bool"),
+        pytest.param(("reconstruct", "--counts", "counts-strings.json", "--method",
+                      "linear"), None, 3, id="counts-strings"),
+        pytest.param(("reconstruct", "--counts", "counts-bools.json", "--method", "mle"),
+                     None, 3, id="counts-bools"),
+    ])
+    def test_error_exit(self, tmp_path, capsys, monkeypatch, argv, seed_env, code):
+        for name, doc in self.FILES.items():
+            text = doc if isinstance(doc, str) else json.dumps(doc)
+            (tmp_path / name).write_text(text)
+        if seed_env is not None:
+            monkeypatch.setenv("LOSSYQPT_SEED", seed_env)
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        out = tmp_path / "out"
+        assert run(*argv, "--out", str(out)) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()

@@ -78,12 +78,12 @@ class TestAnalyticOracle:
 def textbook_rho(hessian):
     """(rho, the branch that sets it): the larger of the geometric mean of
     H's extreme eigenvalues, the smallest floored at 1e-12 of the largest,
-    and the geometric mean of its spectrum, each floored at 1e-10 of the
-    largest."""
+    and the geometric mean of its eigenvalues above 1e-10 of the largest."""
     eigs = np.linalg.eigvalsh(hessian)
     top = eigs[-1]
     extremes = np.sqrt(max(eigs[0], 1e-12 * top) * top)
-    spectrum = top * np.prod(np.maximum(eigs / top, 1e-10)) ** (1.0 / eigs.size)
+    kept = eigs[eigs > 1e-10 * top] / top
+    spectrum = top * np.prod(kept) ** (1.0 / kept.size)
     return max(extremes, spectrum), "extremes" if extremes >= spectrum else "spectrum"
 
 
@@ -330,3 +330,9 @@ class TestPenalty:
 
     def test_zero_hessian(self):
         assert _penalty(np.zeros((16, 16))) == 1.0
+
+    def test_rank_one_hessian(self):
+        # the null eigenvalues stay out of the geometric mean
+        u = np.random.default_rng(3).normal(size=16)
+        hessian = np.outer(u, u)
+        assert _penalty(hessian) == pytest.approx(u @ u, rel=1e-12)

@@ -184,3 +184,8 @@ class TestStateFidelity:
         for args in ((a, b), (b, a)):
             with pytest.raises(RepresentationError):
                 state_fidelity(*args)
+
+
+def test_fidelity_against_an_indefinite_argument():
+    with pytest.raises(NotPsdError, match="inner product"):
+        state_fidelity(np.eye(2), np.diag([1.0, -0.5]))

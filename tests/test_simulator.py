@@ -221,7 +221,7 @@ class TestForwardModel:
         table = CountTable(2, inputs, analyzers, exposure, mu)
         misfit = _Misfit(table, chi.basis, "floor")
         # the misfit holds model counts in units of count_unit
-        model = misfit.count_unit * (misfit.model @ misfit.coords(chi.mat))
+        model = misfit.count_unit * (misfit.model @ misfit.cone.coords(chi.mat))
         assert np.abs(model - mu.ravel()).max() <= 1e-12 * exposure
 
     def test_reordered_basis_under_a_named_label(self):
@@ -239,3 +239,8 @@ class TestForwardModel:
         chi = ChiMatrix(elementary_basis(3), np.eye(9, dtype=complex) / 9.0)
         with pytest.raises(RepresentationError):
             expected_counts(chi, 1e4)
+
+
+def test_unknown_noise_model():
+    with pytest.raises(DataError, match="noise must be"):
+        SimConfig(PpbsParams.from_gamma(0.5), noise="x")

@@ -19,6 +19,7 @@ from lossyqpt.tomography import (
     MAX_RATE,
     MIN_EXPOSURE,
     CountTable,
+    analyzer_dual_frame,
     build_beta,
     invert_beta,
     lambda_from_outputs,
@@ -272,3 +273,33 @@ class TestEndToEnd:
             # from six Poisson cells of mean ~ N/2 each
             sigma = np.sqrt(6 * (n / 2)) / (3 * n)
             assert abs(np.trace(est).real - expected) < 3 * sigma + 3e-2
+
+
+class TestErrorPaths:
+    """Inputs the reference inversion and the count table refuse."""
+
+    TABLE = CountTable(2, STATE_LABELS, STATE_LABELS, 1e4, np.ones((6, 6)))
+
+    def test_counts_of_the_wrong_shape(self):
+        with pytest.raises(DataError, match=r"shape \(6, 6\)"):
+            CountTable(2, STATE_LABELS, STATE_LABELS, 1e4, np.ones((6, 5)))
+
+    def test_row_of_an_unknown_input(self):
+        with pytest.raises(DataError, match="no input 'Q'"):
+            self.TABLE.row("Q")
+
+    def test_incomplete_analyzers(self):
+        projectors = np.array([state_density(lab) for lab in ("H", "V", "D")])
+        with pytest.raises(SingularSystemError, match="not informationally complete"):
+            analyzer_dual_frame(projectors)
+
+    def test_outputs_and_inputs_of_different_shapes(self):
+        with pytest.raises(DataError, match="3 outputs for 4 inputs"):
+            lambda_from_outputs(np.zeros((3, 2, 2)), np.zeros((4, 2, 2)))
+
+    def test_normalizing_an_output_of_zero_trace(self):
+        counts = np.full((6, 6), 100.0)
+        counts[0] = 0.0  # input H is never detected
+        table = CountTable(2, STATE_LABELS, STATE_LABELS, 1e4, counts)
+        with pytest.raises(DataError, match="'H' has zero trace"):
+            reconstruct_linear(table, pauli_basis(), normalize_outputs=True)
