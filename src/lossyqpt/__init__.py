@@ -11,20 +11,16 @@ __version__ = "0.1.0"
 
 from .channels import (
     ChiMatrix,
-    KrausSet,
     OperatorBasis,
     ProbabilityOperator,
     apply_channel,
     change_basis,
     chi_from_kraus,
     elementary_basis,
-    jamiolkowski_state,
     kraus_from_chi,
     pauli_basis,
     probability_operator,
     process_fidelity_ntp,
-    process_fidelity_tp,
-    pure_density,
 )
 from .errors import (
     DataError,
@@ -46,13 +42,7 @@ from .mle import (
     normalize_max_p,
 )
 from .qmath import EigDecomposition, herm_eig, psd_sqrt, state_fidelity
-from .simulator import (
-    PpbsParams,
-    SimConfig,
-    ppbs_chi,
-    ppbs_probability_operator,
-    simulate_counts,
-)
+from .simulator import PpbsParams, SimConfig, ppbs_chi, simulate_counts
 from .states import STATE_LABELS, state_catalog, state_density, state_ket
 from .tomography import (
     CountTable,

@@ -160,23 +160,6 @@ class ChiMatrix:
         w = self._spectrum.eigenvalues
         return bool(w[0] >= -qmath.DEFAULT_CLAMP_TOL * max(1.0, float(w[-1])))
 
-    def scaled(self, factor: float) -> "ChiMatrix":
-        return ChiMatrix(self.basis, self.mat * factor)
-
-
-@dataclass(frozen=True)
-class KrausSet:
-    """Kraus operators {E_i} of a (possibly lossy) channel."""
-
-    dim: int
-    ops: list
-
-    def completeness_defect(self) -> float:
-        """Largest eigenvalue of sum E_i^dag E_i - I (<= 0 for physical maps)."""
-        s = sum(op.conj().T @ op for op in self.ops)
-        w = qmath.herm_eig(s - np.eye(self.dim)).eigenvalues
-        return float(w[-1])
-
 
 @dataclass(frozen=True)
 class ProbabilityOperator:
@@ -189,12 +172,6 @@ class ProbabilityOperator:
     @property
     def eigenvalues(self) -> np.ndarray:
         return self.spectrum.eigenvalues
-
-
-def pure_density(ket: np.ndarray) -> np.ndarray:
-    """Density matrix |psi><psi| of a (not necessarily normalized) ket."""
-    ket = np.asarray(ket, dtype=complex)
-    return np.outer(ket, ket.conj())
 
 
 def apply_channel(chi: ChiMatrix, rho: np.ndarray) -> np.ndarray:
@@ -216,23 +193,19 @@ def apply_channel(chi: ChiMatrix, rho: np.ndarray) -> np.ndarray:
 
 def chi_from_kraus(kraus, basis: OperatorBasis) -> ChiMatrix:
     """Expand Kraus operators in the basis and build chi_mn = sum_i a_im a_in^*."""
-    if isinstance(kraus, KrausSet):
-        ops = kraus.ops
-    else:
-        ops = list(kraus)
     d = basis.dim
     coeffs = np.array(
         [
             [np.trace(basis.ops[m].conj().T @ np.asarray(e, dtype=complex)) / d
              for m in range(basis.size)]
-            for e in ops
+            for e in kraus
         ]
     )
     mat = coeffs.T @ coeffs.conj()
     return ChiMatrix(basis, mat)
 
 
-def kraus_from_chi(chi: ChiMatrix) -> KrausSet:
+def kraus_from_chi(chi: ChiMatrix) -> list:
     """Spectral factorization of chi into Kraus operators.
 
     Components with eigenvalue below 1e-12 * lambda_max are dropped;
@@ -250,7 +223,7 @@ def kraus_from_chi(chi: ChiMatrix) -> KrausSet:
     for i in np.nonzero(keep)[0][::-1]:  # largest component first
         c = np.sqrt(w[i]) * eig.eigenvectors[:, i]
         ops.append(np.tensordot(c, chi.basis.ops, axes=(0, 0)))
-    return KrausSet(chi.dim, ops)
+    return ops
 
 
 def change_basis(chi: ChiMatrix, target: OperatorBasis) -> ChiMatrix:
@@ -298,50 +271,6 @@ def probability_operator(chi: ChiMatrix) -> ProbabilityOperator:
     return ProbabilityOperator(p, spectrum, tag)
 
 
-def maximally_entangled_state(d: int) -> np.ndarray:
-    """|Phi><Phi| with |Phi> = sum_j |jj>/sqrt(d)."""
-    phi = np.zeros(d * d, dtype=complex)
-    for j in range(d):
-        phi[j * d + j] = 1.0
-    phi /= np.sqrt(d)
-    return np.outer(phi, phi.conj())
-
-
-def jamiolkowski_state(chi: ChiMatrix) -> np.ndarray:
-    """The channel-state dual: the map applied to half of |Phi><Phi|.
-
-    With the process half of the pair listed first, the resulting d^2 x d^2
-    state is exactly chi expressed in the scaled matrix-unit basis, so this
-    is implemented as a basis change.  Tr of the result equals Tr[chi]
-    (one for trace-preserving channels).
-    """
-    return change_basis(chi, elementary_basis(chi.dim)).mat.copy()
-
-
-def _common_basis(chi_a: ChiMatrix, chi_b: ChiMatrix):
-    if chi_a.dim != chi_b.dim:
-        raise RepresentationError(
-            f"cannot compare channels of dimension {chi_a.dim} and {chi_b.dim}"
-        )
-    return chi_a, change_basis(chi_b, chi_a.basis)
-
-
-def process_fidelity_tp(chi_a: ChiMatrix, chi_b: ChiMatrix) -> float:
-    """Process fidelity between two trace-preserving channels.
-
-    Both chi matrices must have unit trace within 1e-6; for lossy
-    channels use process_fidelity_ntp, which normalizes the traces away.
-    """
-    for name, chi in (("first", chi_a), ("second", chi_b)):
-        if abs(chi.trace() - 1.0) > 1e-6:
-            raise RepresentationError(
-                f"{name} argument has trace {chi.trace():.6f}; "
-                "use process_fidelity_ntp for lossy channels"
-            )
-    chi_a, chi_b = _common_basis(chi_a, chi_b)
-    return qmath.state_fidelity(chi_a.mat, chi_b.mat)
-
-
 def process_fidelity_ntp(
     chi: ChiMatrix,
     chi_id: ChiMatrix,
@@ -358,7 +287,11 @@ def process_fidelity_ntp(
         raise RepresentationError(
             f"process fidelity needs positive traces, got {ta:.3e} and {tb:.3e}"
         )
-    chi, chi_id = _common_basis(chi, chi_id)
+    if chi.dim != chi_id.dim:
+        raise RepresentationError(
+            f"cannot compare channels of dimension {chi.dim} and {chi_id.dim}"
+        )
+    chi_id = change_basis(chi_id, chi.basis)
     # dividing the fidelity by the traces equals the fidelity of the
     # unit-trace matrices chi' = chi/Tr[chi]; normalizing first keeps the
     # computation at a scale where the spectral clamp is harmless

@@ -324,9 +324,9 @@ def cmd_analyze_p(args) -> int:
     p = probability_operator(chi)
     pmax = float(p.eigenvalues[-1])
     excess = pmax - 1.0
-    if excess > 1e-9:
+    if not excess <= 1e-9:  # NaN included
         message = f"max P eigenvalue exceeds 1 by {excess:.3e}"
-        if args.on_unphysical == "fail" or excess > 1e-3:
+        if args.on_unphysical == "fail" or not excess <= 1e-3:
             raise NotPsdError(message, eigenvalue=pmax)
         print(f"warning: {message}", file=sys.stderr)
 

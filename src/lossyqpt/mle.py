@@ -75,12 +75,7 @@ from .channels import (
     pauli_basis,
     probability_operator,
 )
-from .errors import (
-    DataError,
-    DegenerateFitError,
-    RepresentationError,
-    SingularSystemError,
-)
+from .errors import DataError, DegenerateFitError, SingularSystemError
 from .optimize import _RHO_FLOOR, minimize_adaptive
 from .tomography import RANK_TOL, CountTable, protocol_plan
 
@@ -152,11 +147,7 @@ class _Misfit:
     """
 
     def __init__(self, counts: CountTable, basis, weight_mode):
-        if basis is None:
-            if counts.dim != 2:
-                raise RepresentationError("a basis must be given for d != 2")
-            basis = pauli_basis()
-        self.basis = basis
+        self.basis = basis = pauli_basis() if basis is None else basis
         self.plan = protocol_plan(basis, counts.inputs, counts.projectors)
         self.cone = qmath.PsdCone(self.plan.lift)
         k = math.frexp(counts.exposure)[1]

@@ -33,10 +33,6 @@ class EigDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
 
 def require_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     """Validate shape, finiteness and Hermiticity, returning the

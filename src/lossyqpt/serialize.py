@@ -24,19 +24,36 @@ SCHEMA_VERSION = 1
 
 _SPECTRUM_CLAMP = 1e-9  # rounding-level excursions outside [0, 1]
 
+#: The largest real or imaginary part a chi file's entry may have.
+#: ChiMatrix adds m and m^H, and P sums d^4 products of entries with basis
+#: operators, so entries of ~1e307 overflow to NaN there; from entries of
+#: at most 1e150 every such sum stays far inside the floating-point range.
+MAX_CHI_ENTRY = 1e150
+
+
+def _json_numbers(values) -> bool:
+    """Whether every value is a JSON number: float() and complex() would
+    take True as 1, and float() would take "1e4"."""
+    return all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in values)
+
 
 def complex_matrix_to_json(mat: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(mat)]
 
 
 def complex_matrix_from_json(data, what: str = "matrix") -> np.ndarray:
+    """The matrix of rows of [re, im] pairs of JSON numbers."""
     try:
-        arr = np.array(
+        mat = np.array(
             [[complex(re, im) for re, im in row] for row in data], dtype=complex
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed {what}: {exc}") from None
-    return arr
+    # every entry unpacked into two numbers, but complex() takes True as 1
+    if not _json_numbers(v for row in data for pair in row for v in pair):
+        raise DataError(f"{what} entries must be pairs of JSON numbers")
+    return mat
 
 
 def _check_kind(doc: dict, kind: str):
@@ -74,9 +91,12 @@ def chi_from_dict(doc: dict) -> ChiMatrix:
         raise DataError(f"chi file missing field {exc}") from None
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 2:
         raise DataError(f"chi dim must be an integer of at least 2, got {dim!r}")
-    # checked before the basis is built, so that dim stays bounded by the file
-    if mat.shape != (dim**2, dim**2) or not np.all(np.isfinite(mat)):
-        raise DataError(f"dim {dim} needs a finite {dim**2}x{dim**2} chi matrix")
+    # checked before the basis is built, so that dim stays bounded by the
+    # file; NaN fails the bound too
+    if (mat.shape != (dim**2, dim**2)
+            or not np.all(np.abs(mat.view(float)) <= MAX_CHI_ENTRY)):
+        raise DataError(f"dim {dim} needs a {dim**2}x{dim**2} chi matrix with "
+                        f"finite entries of at most {MAX_CHI_ENTRY:g} in each part")
     try:
         return ChiMatrix(named_basis(label, dim), mat)
     except Exception as exc:
@@ -108,9 +128,7 @@ def count_table_from_dict(doc: dict) -> CountTable:
             if not isinstance(doc[what], list):
                 raise DataError(f"count table {what} must be a list of labels")
         exposure, counts = doc["exposure"], doc["counts"]
-        # JSON numbers only: float() would take "1e4" and True too
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                   for v in [exposure, *(c for row in counts for c in row)]):
+        if not _json_numbers([exposure, *(c for row in counts for c in row)]):
             raise DataError("count table exposure and counts must be JSON numbers")
         return CountTable(
             dim=doc["dim"],

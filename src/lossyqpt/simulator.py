@@ -22,12 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    ChiMatrix,
-    ProbabilityOperator,
-    pauli_basis,
-    probability_operator,
-)
+from .channels import ChiMatrix, pauli_basis
 from .errors import DataError
 from .states import STATE_LABELS
 from .tomography import MAX_EXPOSURE, MIN_EXPOSURE, CountTable, protocol_plan
@@ -111,11 +106,6 @@ def ppbs_chi(p: PpbsParams) -> ChiMatrix:
     mat[3, 3] = (sh - sv) ** 2 / 4.0
     mat[0, 3] = mat[3, 0] = (p.t_h - p.t_v) / 4.0
     return ChiMatrix(pauli_basis(), mat)
-
-
-def ppbs_probability_operator(p: PpbsParams) -> ProbabilityOperator:
-    """Success probabilities of the device: P = diag(T_H, T_V)."""
-    return probability_operator(ppbs_chi(p))
 
 
 def expected_counts(

@@ -57,7 +57,8 @@ MIN_EXPOSURE = 1.0
 class CountTable:
     """Coincidence counts indexed by (input state, analyzer projector).
 
-    Labels are distinct strings and dim is an integer.  exposure is the
+    Labels are distinct strings and dim is the integer 2: every label
+    names a qubit polarization state.  exposure is the
     expected number of pairs per input setting.  Counts are kept as
     floats: Poisson draws are integer valued, while noiseless tables
     carry the exact expected values so that the algebraic pipeline
@@ -71,8 +72,10 @@ class CountTable:
     counts: np.ndarray
 
     def __post_init__(self):
-        if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)):
-            raise DataError(f"dim must be an integer, got {self.dim!r}")
+        if (isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer))
+                or self.dim != 2):
+            raise DataError(f"dim must be 2 (the labels name qubit states), "
+                            f"got {self.dim!r}")
         for what in ("inputs", "projectors"):
             labels = tuple(getattr(self, what))
             if not all(isinstance(lab, str) for lab in labels):

@@ -31,7 +31,6 @@ from lossyqpt.simulator import (
     derive_seed,
     ppbs_chi,
     ppbs_kraus,
-    ppbs_probability_operator,
     simulate_counts,
 )
 from lossyqpt.tomography import (
@@ -124,7 +123,7 @@ def test_criterion_2_probability_operator(mle_fits):
     fits, elapsed = mle_fits
     worst_exact = 0.0
     for t_h, t_v in GRID:
-        p = ppbs_probability_operator(PpbsParams(t_h, t_v))
+        p = probability_operator(ppbs_chi(PpbsParams(t_h, t_v)))
         worst_exact = max(
             worst_exact, float(np.abs(p.mat - np.diag([t_h, t_v])).max())
         )
@@ -242,7 +241,8 @@ def test_criterion_7_fidelity_properties():
         for chi in (random_chi(), ppbs_chi(PpbsParams.from_gamma(0.3))):
             worst_scale = max(
                 worst_scale,
-                abs(process_fidelity_ntp(chi.scaled(alpha), chi) - 1.0),
+                abs(process_fidelity_ntp(ChiMatrix(chi.basis, alpha * chi.mat), chi)
+                    - 1.0),
             )
 
     worst_sym = worst_basis = 0.0

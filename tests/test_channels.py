@@ -8,27 +8,36 @@ from hypothesis import strategies as st
 from lossyqpt import serialize
 from lossyqpt.channels import (
     ChiMatrix,
-    KrausSet,
     OperatorBasis,
     apply_channel,
     change_basis,
     chi_from_kraus,
     elementary_basis,
-    jamiolkowski_state,
     kraus_from_chi,
-    maximally_entangled_state,
     named_basis,
     pauli_basis,
     probability_operator,
     process_fidelity_ntp,
-    process_fidelity_tp,
-    pure_density,
 )
 from lossyqpt.errors import NotPsdError, RepresentationError
+from lossyqpt.states import state_density
 
 PB = pauli_basis()
 # the Pauli operators in the order (I, z, x, y), under the named basis's label
 REORDERED = OperatorBasis(2, PB.ops[[0, 3, 1, 2]], "pauli")
+
+
+def bell_projector(d):
+    """|Phi><Phi| with |Phi> = sum_j |jj>/sqrt(d): the Choi state of the
+    identity channel."""
+    phi = np.eye(d).reshape(-1) / np.sqrt(d)
+    return np.outer(phi, phi).astype(complex)
+
+
+def choi_state(chi):
+    """The map applied to the first half of |Phi><Phi|: chi in the scaled
+    matrix units."""
+    return change_basis(chi, elementary_basis(chi.dim)).mat
 
 
 def ppbs_kraus(t_h, t_v):
@@ -159,7 +168,7 @@ class TestApplyChannel:
     def test_projective_limit_on_diagonal_input(self):
         # oracle: K = diag(1, 0) sends |D> to |H>/sqrt(2)
         chi = chi_from_kraus([ppbs_kraus(1.0, 0.0)], PB)
-        d_state = pure_density(np.array([1.0, 1.0]) / np.sqrt(2.0))
+        d_state = state_density("D")
         out = apply_channel(chi, d_state)
         assert np.allclose(out, np.diag([0.5, 0.0]), atol=1e-12)
 
@@ -208,17 +217,17 @@ class TestChiKraus:
 
     def test_kraus_from_chi_identity(self):
         chi = ChiMatrix(PB, np.diag([1.0, 0, 0, 0]).astype(complex))
-        ks = kraus_from_chi(chi)
-        assert len(ks.ops) == 1
-        op = ks.ops[0]
+        ops = kraus_from_chi(chi)
+        assert len(ops) == 1
+        op = ops[0]
         phase = op[0, 0] / abs(op[0, 0])
         assert np.allclose(op / phase, np.eye(2), atol=1e-12)
 
     def test_kraus_from_chi_rank_one(self):
         chi = chi_from_kraus([ppbs_kraus(0.8, 0.3)], PB)
-        ks = kraus_from_chi(chi)
-        assert len(ks.ops) == 1
-        op = ks.ops[0]
+        ops = kraus_from_chi(chi)
+        assert len(ops) == 1
+        op = ops[0]
         phase = op[0, 0] / abs(op[0, 0])
         assert np.allclose(op / phase, ppbs_kraus(0.8, 0.3), atol=1e-9)
 
@@ -228,11 +237,6 @@ class TestChiKraus:
             chi = chi_from_kraus(random_channel(rng, rng.integers(1, 5)), PB)
             back = chi_from_kraus(kraus_from_chi(chi), PB)
             assert np.linalg.norm(back.mat - chi.mat) < 1e-9
-
-    def test_completeness_defect_nonpositive(self):
-        rng = np.random.default_rng(4)
-        ks = KrausSet(2, random_channel(rng, 3))
-        assert ks.completeness_defect() <= 1e-9
 
     def test_kraus_from_indefinite_chi_rejected(self):
         chi = ChiMatrix(PB, np.diag([1.0, -0.2, 0, 0]).astype(complex))
@@ -249,7 +253,7 @@ class TestChangeBasis:
     def test_identity_channel_becomes_bell_projector(self):
         chi = ChiMatrix(PB, np.diag([1.0, 0, 0, 0]).astype(complex))
         chi_e = change_basis(chi, elementary_basis(2))
-        assert np.allclose(chi_e.mat, maximally_entangled_state(2), atol=1e-12)
+        assert np.allclose(chi_e.mat, bell_projector(2), atol=1e-12)
 
     def test_round_trip(self):
         rng = np.random.default_rng(5)
@@ -335,13 +339,11 @@ class TestProbabilityOperatorProperty:
 class TestJamiolkowski:
     def test_identity_gives_bell_state(self):
         chi = ChiMatrix(PB, np.diag([1.0, 0, 0, 0]).astype(complex))
-        assert np.allclose(
-            jamiolkowski_state(chi), maximally_entangled_state(2), atol=1e-12
-        )
+        assert np.allclose(choi_state(chi), bell_projector(2), atol=1e-12)
 
     def test_projective_ppbs(self):
         chi = chi_from_kraus([ppbs_kraus(1.0, 0.0)], PB)
-        rho_e = jamiolkowski_state(chi)
+        rho_e = choi_state(chi)
         expected = np.zeros((4, 4), dtype=complex)
         expected[0, 0] = 0.5
         assert np.allclose(rho_e, expected, atol=1e-12)
@@ -351,19 +353,19 @@ class TestJamiolkowski:
         # (E x I)|Phi><Phi| expanded term by term must agree
         rng = np.random.default_rng(8)
         chi = chi_from_kraus(random_channel(rng, 2), PB)
-        phi = maximally_entangled_state(2)
+        phi = bell_projector(2)
         direct = np.zeros((4, 4), dtype=complex)
         for m in range(4):
             for n in range(4):
                 am = np.kron(chi.basis.ops[m], np.eye(2))
                 an = np.kron(chi.basis.ops[n], np.eye(2))
                 direct += chi.mat[m, n] * (am @ phi @ an.conj().T)
-        assert np.abs(jamiolkowski_state(chi) - direct).max() < 1e-12
+        assert np.abs(choi_state(chi) - direct).max() < 1e-12
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(9)
         chi = chi_from_kraus(random_channel(rng, 3), PB)
-        assert np.trace(jamiolkowski_state(chi)).real == pytest.approx(
+        assert np.trace(choi_state(chi)).real == pytest.approx(
             chi.trace(), abs=1e-10
         )
 
@@ -371,40 +373,33 @@ class TestJamiolkowski:
 class TestProcessFidelity:
     def test_self_fidelity(self):
         chi = ChiMatrix(PB, np.diag([1.0, 0, 0, 0]).astype(complex))
-        assert process_fidelity_tp(chi, chi) == pytest.approx(1.0, abs=1e-12)
+        assert process_fidelity_ntp(chi, chi) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_channels(self):
         chi_id = ChiMatrix(PB, np.diag([1.0, 0, 0, 0]).astype(complex))
         chi_x = ChiMatrix(PB, np.diag([0.0, 1.0, 0, 0]).astype(complex))
-        assert process_fidelity_tp(chi_id, chi_x) == pytest.approx(0.0, abs=1e-12)
+        assert process_fidelity_ntp(chi_id, chi_x) == pytest.approx(0.0, abs=1e-12)
 
     def test_identity_vs_depolarizing(self):
         chi_id = ChiMatrix(PB, np.diag([1.0, 0, 0, 0]).astype(complex))
         chi_dep = ChiMatrix(PB, np.diag([0.25] * 4).astype(complex))
-        assert process_fidelity_tp(chi_id, chi_dep) == pytest.approx(0.25, abs=1e-12)
-
-    def test_tp_guard_on_lossy_input(self):
-        chi = chi_from_kraus([ppbs_kraus(1.0, 0.2)], PB)
-        chi_id = ChiMatrix(PB, np.diag([1.0, 0, 0, 0]).astype(complex))
-        with pytest.raises(RepresentationError):
-            process_fidelity_tp(chi, chi_id)
+        assert process_fidelity_ntp(chi_id, chi_dep) == pytest.approx(0.25, abs=1e-12)
 
     def test_global_loss_invisible(self):
         rng = np.random.default_rng(10)
         chi = chi_from_kraus(random_channel(rng, 2), PB)
         for alpha in (1e-3, 0.1, 0.9):
-            assert process_fidelity_ntp(chi.scaled(alpha), chi) == pytest.approx(
-                1.0, abs=1e-9
-            )
+            lossy = ChiMatrix(PB, alpha * chi.mat)
+            assert process_fidelity_ntp(lossy, chi) == pytest.approx(1.0, abs=1e-9)
 
     def test_scaling_invariance_both_arguments(self):
         rng = np.random.default_rng(12)
         a = chi_from_kraus(random_channel(rng, 2), PB)
         b = chi_from_kraus(random_channel(rng, 3), PB)
         base = process_fidelity_ntp(a, b)
-        assert process_fidelity_ntp(a.scaled(0.01), b.scaled(0.6)) == pytest.approx(
-            base, abs=1e-9
-        )
+        scaled = process_fidelity_ntp(ChiMatrix(PB, 0.01 * a.mat),
+                                      ChiMatrix(PB, 0.6 * b.mat))
+        assert scaled == pytest.approx(base, abs=1e-9)
 
     def test_closed_form_ppbs_vs_identity(self):
         chi_id = ChiMatrix(PB, np.diag([1.0, 0, 0, 0]).astype(complex))

@@ -1034,6 +1034,16 @@ def _count_doc_with(**fields):
     return doc
 
 
+def _pauli_chi_doc(entries):
+    """The Pauli chi document with the given (row, column): [re, im]
+    entries and zeros elsewhere."""
+    mat = [[[0.0, 0.0] for _ in range(4)] for _ in range(4)]
+    for (i, j), pair in entries.items():
+        mat[i][j] = pair
+    return {"schema": 1, "kind": "chi_matrix", "dim": 2, "basis": "pauli",
+            "mat": mat}
+
+
 class TestErrorPaths:
     """Calls that end in an error no other test reaches: each exits with
     its code and an `error: ` line on stderr, never with a traceback, and
@@ -1059,6 +1069,8 @@ class TestErrorPaths:
         "counts-strings.json": _count_doc_with(
             counts=[[str(c) for c in row] for row in _valid_count_doc()["counts"]]),
         "counts-bools.json": _count_doc_with(counts=[[True] * 6] * 6),
+        # every label names a qubit polarization state
+        "dim-3.json": _count_doc_with(dim=3),
     }
 
     @pytest.mark.parametrize("argv, seed_env, code", [
@@ -1086,6 +1098,10 @@ class TestErrorPaths:
                       "linear"), None, 3, id="counts-strings"),
         pytest.param(("reconstruct", "--counts", "counts-bools.json", "--method", "mle"),
                      None, 3, id="counts-bools"),
+        pytest.param(("reconstruct", "--counts", "dim-3.json", "--method", "linear"),
+                     None, 3, id="dim-3-linear"),
+        pytest.param(("reconstruct", "--counts", "dim-3.json", "--method", "mle"),
+                     None, 3, id="dim-3-mle"),
     ])
     def test_error_exit(self, tmp_path, capsys, monkeypatch, argv, seed_env, code):
         for name, doc in self.FILES.items():
@@ -1099,4 +1115,29 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert not out.exists()
+
+    CHI_FILES = {
+        # complex() would take the booleans as 1 and 0
+        "bools": _pauli_chi_doc({(0, 0): [True, False]}),
+        # finite entries whose sums in ChiMatrix and P overflow to NaN
+        "huge-diagonal": _pauli_chi_doc({(k, k): [5e307, 0.0] for k in range(4)}),
+        "huge-entry": _pauli_chi_doc({(0, 0): [1e308, 0.0]}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CHI_FILES))
+    @pytest.mark.parametrize("command", ["analyze-p", "reconstruct"])
+    def test_chi_file_is_data_error(self, tmp_path, capsys, command, name):
+        chi, counts, out = (tmp_path / f for f in ("chi.json", "counts.json", "out"))
+        chi.write_text(json.dumps(self.CHI_FILES[name]))
+        counts.write_text(json.dumps(_valid_count_doc()))
+        if command == "analyze-p":
+            argv = ["analyze-p", "--chi", str(chi)]
+        else:
+            argv = ["reconstruct", "--counts", str(counts), "--method", "linear",
+                    "--reference", str(chi), "--out", str(out)]
+        assert run(*argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert not out.exists()

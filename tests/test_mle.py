@@ -263,7 +263,7 @@ class TestLikelihood:
         table = table_for(0.1, seed=19)
         opts = FitOptions(weight_mode=weight_mode)
         report = fit(table, opts=opts)
-        raw = report.chi.scaled(report.normalization_scale)
+        raw = ChiMatrix(report.chi.basis, report.chi.mat * report.normalization_scale)
         f = likelihood(raw, table, weight_mode=weight_mode)
         assert report.objective == pytest.approx(f, rel=1e-9)
 
@@ -538,7 +538,7 @@ class TestNormalizeMaxP:
         # 1 / pmax overflows for pmax below ~5.6e-309, so the rescaling
         # must divide
         chi = ppbs_chi(PpbsParams(0.5, 0.25))
-        tiny, scale = normalize_max_p(chi.scaled(1e-310))
+        tiny, scale = normalize_max_p(ChiMatrix(chi.basis, chi.mat * 1e-310))
         assert scale == pytest.approx(0.5e-310, rel=1e-10)
         assert np.abs(tiny.mat - normalize_max_p(chi)[0].mat).max() <= 1e-10
 

@@ -11,6 +11,7 @@ from lossyqpt.channels import (
     chi_from_kraus,
     elementary_basis,
     pauli_basis,
+    probability_operator,
 )
 from lossyqpt.errors import DataError, RepresentationError
 from lossyqpt.mle import _Misfit
@@ -20,7 +21,6 @@ from lossyqpt.simulator import (
     expected_counts,
     ppbs_chi,
     ppbs_kraus,
-    ppbs_probability_operator,
     simulate_counts,
 )
 from lossyqpt.states import STATE_LABELS, state_catalog, state_density
@@ -95,17 +95,17 @@ class TestAnalyticChi:
 
 class TestAnalyticP:
     def test_trace_preserving_limit(self):
-        p = ppbs_probability_operator(PpbsParams(1.0, 1.0))
+        p = probability_operator(ppbs_chi(PpbsParams(1.0, 1.0)))
         assert np.allclose(p.mat, np.eye(2), atol=1e-15)
         assert p.classification == "trace-preserving"
 
     def test_eigenvalues_are_transmittivities(self):
-        p = ppbs_probability_operator(PpbsParams(1.0, 0.3))
+        p = probability_operator(ppbs_chi(PpbsParams(1.0, 0.3)))
         assert np.allclose(sorted(p.eigenvalues), [0.3, 1.0], atol=1e-15)
         assert p.classification == "state-dependent"
 
     def test_balanced_loss_is_uniform(self):
-        p = ppbs_probability_operator(PpbsParams(0.5, 0.5))
+        p = probability_operator(ppbs_chi(PpbsParams(0.5, 0.5)))
         assert np.allclose(p.mat, 0.5 * np.eye(2), atol=1e-15)
         assert p.classification == "uniform-lossy"
 
@@ -147,7 +147,7 @@ class TestSimulateCounts:
     def test_column_sums_give_success_probability(self):
         params = PpbsParams.from_gamma(0.4)
         table = simulate_counts(SimConfig(params, exposure=1e4, noise="none"))
-        p = ppbs_probability_operator(params)
+        p = probability_operator(ppbs_chi(params))
         for i, lab in enumerate(table.inputs):
             joint = table.counts[i, 0] + table.counts[i, 1]  # H and V analyzers
             expected = 1e4 * np.trace(p.mat @ state_density(lab)).real
