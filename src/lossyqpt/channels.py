@@ -28,6 +28,12 @@ _BASIS_TOL = 1e-12
 #: Absolute tolerance separating the spectral classes of P.
 CLASSIFY_TOL = 1e-6
 
+#: process_fidelity_ntp refuses a chi with an entry larger than this many
+#: times its trace.  No positive semidefinite chi has an entry above its
+#: trace, and below the bound chi / Tr[chi] and the fidelity of two such
+#: matrices stay far inside the floating-point range.
+MAX_ENTRY_PER_TRACE = 1e100
+
 TRACE_PRESERVING = "trace-preserving"
 UNIFORM_LOSSY = "uniform-lossy"
 STATE_DEPENDENT = "state-dependent"
@@ -49,8 +55,10 @@ class OperatorBasis:
     """A complete operator basis {A_m} with Tr[A_m A_n^dag] = d delta_mn.
 
     Bases compare and hash by identity, so the constants derived from one
-    (the protocol plans) are cached per basis object; the operators are a
-    read-only copy, so a cached constant cannot go stale.
+    (the factors of p_matrix) are cached per basis object; the operators
+    are a read-only copy, so a cached constant cannot go stale.  Two
+    bases with the same operators still hold the same chi: change_basis
+    compares operators, not objects.
     """
 
     dim: int
@@ -76,14 +84,6 @@ class OperatorBasis:
     @property
     def size(self) -> int:
         return self.dim * self.dim
-
-    @cached_property
-    def _p_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(L, R) with L[(j, i), n] = conj(A_n)[j, i] and R[(j, m), k] =
-        A_m[j, k], the operators as probability_operator multiplies them."""
-        a, d, n = self.ops, self.dim, self.size
-        return (a.conj().transpose(1, 2, 0).reshape(d * d, n),
-                a.transpose(1, 0, 2).reshape(d * n, d))
 
 
 @lru_cache(maxsize=None)
@@ -244,6 +244,27 @@ def change_basis(chi: ChiMatrix, target: OperatorBasis) -> ChiMatrix:
     return ChiMatrix(target, c @ chi.mat @ c.conj().T)
 
 
+@lru_cache(maxsize=8)
+def _p_factors(basis: OperatorBasis) -> tuple[np.ndarray, np.ndarray]:
+    """(L, R) with L[(j, i), n] = conj(A_n)[j, i] and R[(j, m), k] =
+    A_m[j, k], the operators as p_matrix multiplies them."""
+    a, d, n = basis.ops, basis.dim, basis.size
+    return (a.conj().transpose(1, 2, 0).reshape(d * d, n),
+            a.transpose(1, 0, 2).reshape(d * n, d))
+
+
+def p_matrix(basis: OperatorBasis, chi_mats: np.ndarray) -> np.ndarray:
+    """sum_mn chi_mn A_n^dag A_m for the n x n chi_mats written in basis,
+    or for each matrix of a stack of them; not symmetrized."""
+    left, right = _p_factors(basis)
+    d, n, stack = basis.dim, basis.size, chi_mats.shape[:-2]
+    # two matrix products in a fixed summation order: a change of order
+    # changes the P that analyze-p prints, down to the sign of its zero
+    # entries; t[i, j, m] = sum_n conj(A_n)[j, i] chi_mn
+    t = (left @ chi_mats.swapaxes(-1, -2)).reshape(*stack, d, d, n)
+    return t.swapaxes(-3, -2).reshape(*stack, d, d * n) @ right
+
+
 def probability_operator(chi: ChiMatrix) -> ProbabilityOperator:
     """P = sum_mn chi_mn A_n^dag A_m, with spectrum and spectral class.
 
@@ -251,13 +272,7 @@ def probability_operator(chi: ChiMatrix) -> ProbabilityOperator:
     construction and skips herm_eig's Hermiticity check; chi itself was
     validated when the ChiMatrix was built.
     """
-    left, right = chi.basis._p_factors
-    d, n = chi.dim, chi.basis.size
-    # two matrix products in a fixed summation order: a change of order
-    # changes the P that analyze-p prints, down to the sign of its zero
-    # entries; t[i, j, m] = sum_n conj(A_n)[j, i] chi_mn
-    t = (left @ chi.mat.T).reshape(d, d, n)
-    p = t.transpose(1, 0, 2).reshape(d, d * n) @ right
+    p = p_matrix(chi.basis, chi.mat)
     p = 0.5 * (p + p.conj().T)
     spectrum = qmath.EigDecomposition(*np.linalg.eigh(p))
     # the eigenvalues ascend, so the extreme two decide the class
@@ -281,12 +296,21 @@ def process_fidelity_ntp(
     Fidelity of the two chi matrices divided by the product of their
     traces.  Invariant under rescaling either argument: channels that
     differ only by a global loss are indistinguishable by this figure.
+    Either chi must have a positive trace and no entry above
+    MAX_ENTRY_PER_TRACE times it.
     """
     ta, tb = chi.trace(), chi_id.trace()
     if ta <= 0.0 or tb <= 0.0:
         raise RepresentationError(
             f"process fidelity needs positive traces, got {ta:.3e} and {tb:.3e}"
         )
+    for arg, tr in ((chi, ta), (chi_id, tb)):
+        peak = float(np.abs(arg.mat).max())
+        if peak > MAX_ENTRY_PER_TRACE * tr:
+            raise RepresentationError(
+                f"process fidelity argument has an entry of {peak:.3e}, more than "
+                f"{MAX_ENTRY_PER_TRACE:g} times its trace {tr:.3e}"
+            )
     if chi.dim != chi_id.dim:
         raise RepresentationError(
             f"cannot compare channels of dimension {chi.dim} and {chi_id.dim}"

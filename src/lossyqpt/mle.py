@@ -57,6 +57,11 @@ reads too.  A protocol
 whose inputs or analyzers do not determine chi raises
 SingularSystemError, and a table without counts raises
 DegenerateFitError in the chi-space fits.
+
+Every fit works in the paper's Pauli basis {I, sigma_x, sigma_y,
+sigma_z}, the basis of the plan: reports carry chi in it, likelihood
+reads an array as a Pauli-basis chi, and channels.change_basis is the
+one way into or out of it.
 """
 
 from __future__ import annotations
@@ -68,13 +73,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import qmath
-from .channels import (
-    ChiMatrix,
-    OperatorBasis,
-    change_basis,
-    pauli_basis,
-    probability_operator,
-)
+from .channels import ChiMatrix, change_basis, pauli_basis, probability_operator
 from .errors import DataError, DegenerateFitError, SingularSystemError
 from .optimize import _RHO_FLOOR, minimize_adaptive
 from .tomography import RANK_TOL, CountTable, protocol_plan
@@ -146,9 +145,8 @@ class _Misfit:
     units, with power = 2k - e.
     """
 
-    def __init__(self, counts: CountTable, basis, weight_mode):
-        self.basis = basis = pauli_basis() if basis is None else basis
-        self.plan = protocol_plan(basis, counts.inputs, counts.projectors)
+    def __init__(self, counts: CountTable, weight_mode):
+        self.plan = protocol_plan(counts.inputs, counts.projectors)
         self.cone = qmath.PsdCone(self.plan.lift)
         k = math.frexp(counts.exposure)[1]
         self.count_unit = math.ldexp(1.0, k)
@@ -183,7 +181,7 @@ class _Misfit:
             return math.inf
 
     def chi(self, x: np.ndarray) -> ChiMatrix:
-        return ChiMatrix(self.basis, self.cone.matrix(x))
+        return ChiMatrix(pauli_basis(), self.cone.matrix(x))
 
     def congruence(self):
         """(T, T^-1): the frame-coordinate matrices of the congruence
@@ -219,44 +217,37 @@ class _Misfit:
         return other
 
 
-def _chi_and_basis(chi, basis):
-    """(matrix, basis) of a ChiMatrix, in `basis` if one is given, or of an
-    array given in `basis`."""
-    if not isinstance(chi, ChiMatrix):
-        return np.asarray(chi, dtype=complex), basis
-    if basis is None:
-        return chi.mat, chi.basis
-    return change_basis(chi, basis).mat, basis
+def _as_chi(chi) -> ChiMatrix:
+    """chi as a ChiMatrix: an array is read as a chi in the Pauli basis,
+    and validated like every other chi."""
+    return chi if isinstance(chi, ChiMatrix) else ChiMatrix(pauli_basis(), chi)
 
 
-def likelihood(
-    chi,
-    counts: CountTable,
-    basis: OperatorBasis | None = None,
-    weight_mode: str = "floor",
-) -> float:
+def likelihood(chi, counts: CountTable, weight_mode: str = "floor") -> float:
     """Weighted squared misfit between measured and model counts at chi
-    (a ChiMatrix, changed into `basis` if one is given, or a d^2 x d^2
-    Hermitian array in `basis`)."""
-    mat, basis = _chi_and_basis(chi, basis)
-    misfit = _Misfit(counts, basis, weight_mode)
+    (a ChiMatrix in any basis, or a 4 x 4 Hermitian array in the Pauli
+    basis)."""
+    mat = change_basis(_as_chi(chi), pauli_basis()).mat
+    misfit = _Misfit(counts, weight_mode)
     return misfit.unscaled(misfit(misfit.cone.coords(mat))[0])
 
 
 def likelihood_gradient(
-    chi,
-    counts: CountTable,
-    basis: OperatorBasis | None = None,
-    weight_mode: str = "floor",
+    chi, counts: CountTable, weight_mode: str = "floor"
 ) -> np.ndarray:
     """Gradient matrix G of the misfit at chi: the Hermitian matrix with
     f(chi + D) = f(chi) + Re Tr[G D] + O(||D||^2).  At an unconstrained
     optimum G is positive semidefinite and Tr[G chi] = 0.  G is written in
-    `basis` if one is given, else in chi's own."""
-    mat, basis = _chi_and_basis(chi, basis)
-    misfit = _Misfit(counts, basis, weight_mode)
+    chi's own basis, the Pauli basis for an array."""
+    chi = _as_chi(chi)
+    mat = change_basis(chi, pauli_basis()).mat
+    misfit = _Misfit(counts, weight_mode)
     cone = misfit.cone
-    return cone.matrix(np.ldexp(misfit(cone.coords(mat))[1], misfit.power))
+    grad = cone.matrix(np.ldexp(misfit(cone.coords(mat))[1], misfit.power))
+    if chi.basis is not pauli_basis():
+        # G changes basis like chi
+        grad = change_basis(ChiMatrix(pauli_basis(), grad), chi.basis).mat
+    return grad
 
 
 def _least_squares(misfit: _Misfit, counts: CountTable, post_select=False):
@@ -278,7 +269,7 @@ def _least_squares(misfit: _Misfit, counts: CountTable, post_select=False):
     return plan.seed_map @ rates.reshape(-1)
 
 
-def _solve(counts, basis, opts, tp: bool):
+def _solve(counts, opts, tp: bool):
     """(misfit, solver result) of a chi-space fit.
 
     A fit whose kept cells determine chi, with or without P = I, is solved
@@ -295,7 +286,7 @@ def _solve(counts, basis, opts, tp: bool):
     if not counts.counts.any():
         # grad f(0) = 0 would set the solver's dual tolerance to zero
         raise DegenerateFitError("the count table holds no counts; nothing to fit")
-    misfit = _Misfit(counts, basis, opts.weight_mode)
+    misfit = _Misfit(counts, opts.weight_mode)
     # the solver starts from the projection of x0, the least-squares chi,
     # onto the cone
     x0 = _least_squares(misfit, counts)
@@ -355,26 +346,20 @@ def normalize_max_p(chi: ChiMatrix):
     return ChiMatrix(chi.basis, chi.mat.real / pmax + 1j * (chi.mat.imag / pmax)), pmax
 
 
-def fit_unconstrained(
-    counts: CountTable,
-    basis: OperatorBasis | None = None,
-    opts: FitOptions = FitOptions(),
-) -> FitReport:
+def fit_unconstrained(counts: CountTable, opts: FitOptions = FitOptions()) -> FitReport:
     """Maximum-likelihood fit of a (possibly lossy) process matrix.
 
     Minimizes the misfit over positive semidefinite chi and rescales the
     optimum to max eigenvalue of P equal to one; the reported objective
     is the misfit of the optimum before rescaling.
     """
-    misfit, res = _solve(counts, basis, opts, tp=False)
+    misfit, res = _solve(counts, opts, tp=False)
     chi, scale = normalize_max_p(misfit.chi(res.x))
     return _report("mle", chi, res.fun, opts, res, scale=scale)
 
 
 def fit_trace_preserving(
-    counts: CountTable,
-    basis: OperatorBasis | None = None,
-    opts: FitOptions = FitOptions(),
+    counts: CountTable, opts: FitOptions = FitOptions()
 ) -> FitReport:
     """Fit under the (often wrong) assumption that the map preserves trace.
 
@@ -383,7 +368,7 @@ def fit_trace_preserving(
     if the returned chi misses P = I by FitOptions.constraint_tol or
     more, which happens only when the iteration budget runs out first.
     """
-    misfit, res = _solve(counts, basis, opts, tp=True)
+    misfit, res = _solve(counts, opts, tp=True)
     e_mat, e_rhs = misfit.plan.tp_equations
     residual = float(np.linalg.norm(e_mat @ res.x - e_rhs))
     if residual >= opts.constraint_tol:
@@ -394,29 +379,21 @@ def fit_trace_preserving(
     return _report("mle-tp", misfit.chi(res.x), res.fun, opts, res, residual=residual)
 
 
-def _fit_linear(counts, basis, opts, post_select: bool) -> FitReport:
-    misfit = _Misfit(counts, basis, opts.weight_mode)
+def _fit_linear(counts, opts, post_select: bool) -> FitReport:
+    misfit = _Misfit(counts, opts.weight_mode)
     x = _least_squares(misfit, counts, post_select)
     method = "post-selected" if post_select else "linear"
     return _report(method, misfit.chi(x), misfit.unscaled(misfit(x)[0]), opts)
 
 
-def fit_linear(
-    counts: CountTable,
-    basis: OperatorBasis | None = None,
-    opts: FitOptions = FitOptions(),
-) -> FitReport:
+def fit_linear(counts: CountTable, opts: FitOptions = FitOptions()) -> FitReport:
     """Plain linear inversion packaged as a report (no optimizer, no
     rescaling).  Exact on noiseless data; indefinite results are flagged,
     never repaired."""
-    return _fit_linear(counts, basis, opts, post_select=False)
+    return _fit_linear(counts, opts, post_select=False)
 
 
-def fit_post_selected(
-    counts: CountTable,
-    basis: OperatorBasis | None = None,
-    opts: FitOptions = FitOptions(),
-) -> FitReport:
+def fit_post_selected(counts: CountTable, opts: FitOptions = FitOptions()) -> FitReport:
     """Linear inversion after normalizing every output state to unit trace.
 
     This imitates reconstruction from post-selected measurements.  For a
@@ -424,4 +401,4 @@ def fit_post_selected(
     inversion relies on: the result depends on which inputs were prepared
     and may be indefinite, which psd_ok / min_chi_eigenvalue expose.
     """
-    return _fit_linear(counts, basis, opts, post_select=True)
+    return _fit_linear(counts, opts, post_select=True)

@@ -11,9 +11,10 @@ sweeps fix T_H = 1 and scan Gamma.
 
 Counts follow the six-in six-out protocol: each of the cardinal states is
 prepared, sent through the device, and analyzed against all six cardinal
-projectors.  Expected coincidences are N * Tr[Pi_b E(rho_a)] and the
-detection statistics are Poissonian (or exact expectations for noiseless
-studies).
+projectors.  Expected coincidences are N * Tr[Pi_b E(rho_a)], from the
+Pauli-basis protocol plan the fits read (a chi in another basis is
+changed into it), and the detection statistics are Poissonian (or exact
+expectations for noiseless studies).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChiMatrix, pauli_basis
+from .channels import ChiMatrix, change_basis, pauli_basis
 from .errors import DataError
 from .states import STATE_LABELS
 from .tomography import MAX_EXPOSURE, MIN_EXPOSURE, CountTable, protocol_plan
@@ -116,9 +117,11 @@ def expected_counts(
 ) -> np.ndarray:
     """Expected coincidences N * Tr[Pi_b E(rho_a)] for a generic channel,
     indexed (input, analyzer): c chi c^H for the amplitude row c of each
-    cell, from the protocol plan the fits read."""
-    amps = protocol_plan(chi.basis, tuple(inputs), tuple(analyzers)).amplitudes
-    mu = exposure * ((amps @ chi.mat) * amps.conj()).sum(axis=1).real
+    cell, from the protocol plan the fits read, with chi changed into its
+    Pauli basis."""
+    mat = change_basis(chi, pauli_basis()).mat
+    amps = protocol_plan(tuple(inputs), tuple(analyzers)).amplitudes
+    mu = exposure * ((amps @ mat) * amps.conj()).sum(axis=1).real
     return np.clip(mu, 0.0, None).reshape(len(inputs), len(analyzers))
 
 

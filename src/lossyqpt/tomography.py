@@ -1,9 +1,10 @@
 """Count tables, the forward model and the reference linear inversion.
 
 The forward model, counts = N Tr[Pi_b E_chi(rho_a)], lives in one place:
-protocol_plan, one cached plan per protocol.  The simulator draws its
-counts from the plan's per-cell amplitudes, and every fit in mle reads
-its constants from the same plan.
+protocol_plan, one cached plan per pair of input and analyzer label
+tuples, with chi in the Pauli basis.  The simulator draws its counts
+from the plan's per-cell amplitudes, and every fit in mle reads its
+constants from the same plan.
 
 The beta/tau chain is the reference route from count data to a chi
 matrix; the linear fits in mle compute the same chi from the
@@ -33,8 +34,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import states as pol
-from .channels import ChiMatrix, OperatorBasis
-from .errors import DataError, RepresentationError, SingularSystemError
+from .channels import ChiMatrix, OperatorBasis, p_matrix, pauli_basis
+from .errors import DataError, SingularSystemError
 
 # the largest exposure a table or a simulation may have: numpy's Poisson
 # sampler stops at means of ~9.2e18, and the chi-space fits converge up
@@ -131,9 +132,9 @@ def hermitian_frame(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProtocolPlan:
-    """The constants of a protocol (operator basis, input labels, analyzer
-    labels) that the simulator and every fit share; built once per
-    protocol by protocol_plan, read-only.
+    """The constants of a protocol (input labels, analyzer labels), for
+    chi in the Pauli basis, that the simulator and every fit share; built
+    once per protocol by protocol_plan, read-only.
 
     amplitudes holds the row c_ab = (<psi_b|A_m|phi_a>)_m of each cell,
     rows ordered like CountTable.counts.reshape(-1), so that the cell's
@@ -161,14 +162,11 @@ class ProtocolPlan:
 
 
 @lru_cache(maxsize=32)
-def protocol_plan(basis: OperatorBasis, inputs: tuple, analyzers: tuple) -> ProtocolPlan:
-    """The plan of a protocol, cached per basis object (an OperatorBasis
-    hashes by identity) and label tuples."""
+def protocol_plan(inputs: tuple, analyzers: tuple) -> ProtocolPlan:
+    """The plan of a protocol in the Pauli basis, cached per pair of label
+    tuples."""
+    basis = pauli_basis()
     in_kets, an_kets = pol.kets_for(inputs), pol.kets_for(analyzers)
-    if in_kets.shape[-1] != basis.dim or an_kets.shape[-1] != basis.dim:
-        raise RepresentationError(
-            f"protocol states must have dimension {basis.dim} for this basis"
-        )
     amplitudes = np.einsum(
         "bi,mij,aj->abm", an_kets.conj(), basis.ops, in_kets
     ).reshape(-1, basis.size)
@@ -193,13 +191,12 @@ def protocol_plan(basis: OperatorBasis, inputs: tuple, analyzers: tuple) -> Prot
 
 def _tp_equations(basis: OperatorBasis, frame: np.ndarray):
     """(E, e) with ||E x - e|| = ||P(chi(x)) - I||_F, in the frame
-    coordinates of chi and of P."""
-    dim = basis.dim
-    # row (m, n) is vec(A_n^dag A_m), so vec(P) = gram.T @ vec(chi)
-    gram = np.einsum("nji,mjk->mnik", basis.ops.conj(), basis.ops)
-    gram = gram.reshape(basis.size**2, dim * dim)
+    coordinates of chi and of P, for chi written in basis."""
+    dim, n = basis.dim, basis.size
+    # p_of_frame[k] = P(F_k), so E x holds the coordinates of P(sum_k x_k F_k)
+    p_of_frame = p_matrix(basis, frame.reshape(n * n, n, n))
     p_frame = hermitian_frame(dim).conj()
-    e_mat = (p_frame @ (frame @ gram).T).real
+    e_mat = (p_frame @ p_of_frame.reshape(n * n, dim * dim).T).real
     e_rhs = (p_frame @ np.eye(dim).reshape(-1)).real
     return e_mat, e_rhs
 

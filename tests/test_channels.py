@@ -442,6 +442,14 @@ class TestErrorPaths:
         with pytest.raises(RepresentationError, match="dimension 2 and 3"):
             process_fidelity_ntp(qubit, qutrit)
 
+    @pytest.mark.parametrize("first", [True, False], ids=["chi", "reference"])
+    def test_fidelity_of_near_cancelling_trace(self, first):
+        # every entry finite, the trace 1e-300: chi / Tr[chi] would overflow
+        bad = ChiMatrix(PB, np.diag([1e150, -1e150, 1e-300, 0.0]))
+        ref = ChiMatrix(PB, np.diag([1.0, 0.0, 0.0, 0.0]))
+        with pytest.raises(RepresentationError, match="times its trace"):
+            process_fidelity_ntp(*((bad, ref) if first else (ref, bad)))
+
     def test_chi_of_the_wrong_size(self):
         with pytest.raises(RepresentationError, match="must be 4x4"):
             ChiMatrix(pauli_basis(), np.eye(3))

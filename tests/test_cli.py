@@ -1071,6 +1071,11 @@ class TestErrorPaths:
         "counts-bools.json": _count_doc_with(counts=[[True] * 6] * 6),
         # every label names a qubit polarization state
         "dim-3.json": _count_doc_with(dim=3),
+        "counts.json": _valid_count_doc(),
+        # entries within the chi file bound, trace 1e-300: chi / Tr[chi]
+        # would overflow in the fidelity
+        "near-cancelling-chi.json": _pauli_chi_doc(
+            {(0, 0): [1e150, 0.0], (1, 1): [-1e150, 0.0], (2, 2): [1e-300, 0.0]}),
     }
 
     @pytest.mark.parametrize("argv, seed_env, code", [
@@ -1102,6 +1107,9 @@ class TestErrorPaths:
                      None, 3, id="dim-3-linear"),
         pytest.param(("reconstruct", "--counts", "dim-3.json", "--method", "mle"),
                      None, 3, id="dim-3-mle"),
+        pytest.param(("reconstruct", "--counts", "counts.json", "--method", "linear",
+                      "--reference", "near-cancelling-chi.json"),
+                     None, 4, id="near-cancelling-reference"),
     ])
     def test_error_exit(self, tmp_path, capsys, monkeypatch, argv, seed_env, code):
         for name, doc in self.FILES.items():

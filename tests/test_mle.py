@@ -15,7 +15,12 @@ from lossyqpt.channels import (
     probability_operator,
     process_fidelity_ntp,
 )
-from lossyqpt.errors import DataError, DegenerateFitError, SingularSystemError
+from lossyqpt.errors import (
+    DataError,
+    DegenerateFitError,
+    RepresentationError,
+    SingularSystemError,
+)
 from lossyqpt import mle, tomography
 from lossyqpt.mle import (
     FitOptions,
@@ -32,7 +37,6 @@ from lossyqpt.qmath import psd_projection
 from lossyqpt.simulator import (
     PpbsParams,
     SimConfig,
-    expected_counts,
     ppbs_chi,
     simulate_counts,
 )
@@ -74,7 +78,7 @@ def _one_cell_bounds(table, report, xtol):
     """
     n, exposure = table.counts[0, 0], table.exposure
     optimum, slope = (n - exposure) ** 2 / n, 2.0 * exposure * (n - exposure) / n
-    a = np.linalg.norm(protocol_plan(PB, table.inputs, table.projectors).design[0])
+    a = np.linalg.norm(protocol_plan(table.inputs, table.projectors).design[0])
     return optimum - slope * report.constraint_residual, optimum + slope * a * xtol
 
 
@@ -139,14 +143,14 @@ class TestLift:
     protocol plan, against the complex frame."""
 
     FRAME = hermitian_frame(4)
-    CONES = [_Misfit(table_for(0.5), basis, "floor").cone
-             for basis in (PB, elementary_basis(2), _rotated_basis())]
+    CONE = _Misfit(table_for(0.5), "floor").cone
 
     @settings(deadline=None, max_examples=60)
-    @given(st.sampled_from(CONES),
-           st.lists(st.floats(-10.0, 10.0), min_size=16, max_size=16),
+    @given(st.lists(st.floats(-10.0, 10.0), min_size=16, max_size=16),
            st.lists(st.floats(-10.0, 10.0), min_size=32, max_size=32))
-    def test_lift_matches_complex_frame(self, cone, x, m):
+    def test_lift_matches_complex_frame(self, x, m):
+        # the lift depends on the frame alone, not on an operator basis
+        cone = self.CONE
         x = np.array(x)
         m = np.array(m[:16]).reshape(4, 4) + 1j * np.array(m[16:]).reshape(4, 4)
         tol = 1e-14 * max(1.0, np.abs(x).max(), np.abs(m).max())
@@ -211,20 +215,31 @@ class TestLikelihood:
             assert likelihood(chi, table) == pytest.approx(direct, rel=1e-12)
 
     def test_chi_matrix_is_read_in_its_own_basis(self):
-        # a ChiMatrix given with another basis is changed into that basis,
+        # a ChiMatrix given in another basis is changed into the Pauli basis,
         # not read as if its entries were written in it
         table = table_for(0.5, seed=3)
         chi = ppbs_chi(PpbsParams.from_gamma(0.5))
         eb = elementary_basis(2)
         f = likelihood(chi, table)
-        assert likelihood(chi, table, basis=eb) == pytest.approx(f, rel=1e-12)
-        assert likelihood(change_basis(chi, eb), table, basis=PB) == pytest.approx(
+        assert likelihood(change_basis(chi, eb), table) == pytest.approx(f, rel=1e-12)
+        assert likelihood(change_basis(chi, _rotated_basis()), table) == pytest.approx(
             f, rel=1e-12)
         # the gradient changes basis like chi
         g = ChiMatrix(PB, likelihood_gradient(chi, table))
         expected = change_basis(g, eb).mat
-        got = likelihood_gradient(chi, table, basis=eb)
+        got = likelihood_gradient(change_basis(chi, eb), table)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("mat, match", [
+        (np.eye(3), "must be 4x4"),
+        (np.triu(np.ones((4, 4))), "not Hermitian"),
+        (np.full((4, 4), np.nan), "non-finite"),
+    ])
+    @pytest.mark.parametrize("of", [likelihood, likelihood_gradient])
+    def test_array_is_validated_as_chi(self, of, mat, match):
+        # an array is read as a Pauli-basis chi, so it is checked like one
+        with pytest.raises(RepresentationError, match=match):
+            of(mat, table_for(0.5, seed=1))
 
     def test_gradient_matches_central_differences(self):
         # f is quadratic in chi, so a central difference is exact up to
@@ -424,7 +439,7 @@ class TestCongruence:
         counts = np.round(rng.uniform(0.0, exposure, size=36))
         counts[rng.choice(36, dark, replace=False)] = 0.0
         table = CountTable(2, STATE_LABELS, STATE_LABELS, exposure, counts.reshape(6, 6))
-        misfit = _Misfit(table, PB, weight_mode)
+        misfit = _Misfit(table, weight_mode)
         design = misfit.model * misfit.count_unit / exposure
         assume(np.linalg.matrix_rank(design, tol=1e-10) == 16)
         t, t_inv = misfit.congruence()
@@ -827,16 +842,17 @@ class TestLeastSquaresSeed:
         rng = np.random.default_rng(seed)
         counts = rng.uniform(0.0, exposure, size=(len(inputs), len(analyzers)))
         table = CountTable(2, inputs, tuple(analyzers), exposure, counts)
-        plan = protocol_plan(basis, table.inputs, table.projectors)
+        plan = protocol_plan(table.inputs, table.projectors)
         x = plan.seed_map @ (table.counts.reshape(-1) / exposure)
-        chi = (hermitian_frame(4).T @ x).reshape(4, 4)
+        chi = change_basis(ChiMatrix(PB, (hermitian_frame(4).T @ x).reshape(4, 4)),
+                           basis).mat
         linear = reconstruct_linear(table, basis).mat
         assert np.abs(chi - linear).max() <= 1e-10 * max(1.0, np.abs(linear).max())
         # the linear fits take the same map, the post-selected one after
         # normalizing each output state
         for fit, normalize in ((fit_linear, False), (fit_post_selected, True)):
             reference = reconstruct_linear(table, basis, normalize_outputs=normalize).mat
-            got = fit(table, basis).chi.mat
+            got = change_basis(fit(table).chi, basis).mat
             scale = max(1.0, np.abs(reference).max())
             assert np.abs(got - reference).max() <= 1e-10 * scale
 
@@ -853,50 +869,23 @@ class TestLeastSquaresSeed:
             fit(simulate_counts(cfg))
 
 
-class TestRelabelledBasis:
-    # the Pauli operators in the order (I, z, x, y), under the named basis's
-    # label: a fit must use this basis's own plan, not the named one's
-    REORDERED = OperatorBasis(2, PB.ops[[0, 3, 1, 2]], "pauli")
-
-    def test_linear_fit_is_exact_on_noiseless_table(self):
-        table = table_for(0.5)
-        truth = change_basis(ppbs_chi(PpbsParams.from_gamma(0.5)), self.REORDERED)
-        chi = fit_linear(table, self.REORDERED).chi
-        assert chi.basis is self.REORDERED
-        assert np.abs(chi.mat - truth.mat).max() <= 1e-12
-        mu = expected_counts(chi, table.exposure, table.inputs, table.projectors)
-        assert np.abs(mu - table.counts).max() <= 1e-8 * table.exposure
-
-
 class TestPlanCache:
     def test_custom_basis_builds_its_constants_once(self):
         info = tomography.protocol_plan.cache_info
-        basis = _rotated_basis()  # a fresh object, so no cached plan
-        chi = change_basis(ppbs_chi(PpbsParams.from_gamma(0.5)), basis)
-        built = info().misses
+        tomography.protocol_plan.cache_clear()  # so that no plan is cached
+        chi = change_basis(ppbs_chi(PpbsParams.from_gamma(0.5)), _rotated_basis())
         table = simulate_counts(SimConfig(PpbsParams.from_gamma(0.5), seed=0), chi)
         # the simulator alone builds the plan ...
-        assert info().misses == built + 1
+        assert info().misses == 1
         hits = info().hits
-        fit_unconstrained(table, basis, FAST)
+        fit_unconstrained(table, FAST)
         # ... that the fit then reads
-        assert info().misses == built + 1 and info().hits > hits
+        assert info().misses == 1 and info().hits > hits
         for seed in range(1, 3):
             table = simulate_counts(SimConfig(PpbsParams.from_gamma(0.5), seed=seed), chi)
             likelihood(chi, table)
-            fit_unconstrained(table, basis, FAST)
-        assert info().misses == built + 1
-
-    def test_copy_of_named_basis_fits_to_the_same_bits(self):
-        copy = OperatorBasis(2, PB.ops.copy(), "pauli")
-        table = table_for(0.3, seed=4)
-        for fit in (fit_unconstrained, fit_trace_preserving, fit_linear,
-                    fit_post_selected):
-            named, copied = fit(table, PB), fit(table, copy)
-            assert copied.chi.basis is copy
-            assert copied.objective == named.objective
-            assert copied.iterations == named.iterations
-            assert copied.chi.mat.tobytes() == named.chi.mat.tobytes()
+            fit_unconstrained(table, FAST)
+        assert info().misses == 1
 
 
 class TestFitOptions:

@@ -219,9 +219,11 @@ class TestForwardModel:
                                                exposure):
         mu = expected_counts(chi, exposure, inputs, analyzers)
         table = CountTable(2, inputs, analyzers, exposure, mu)
-        misfit = _Misfit(table, chi.basis, "floor")
-        # the misfit holds model counts in units of count_unit
-        model = misfit.count_unit * (misfit.model @ misfit.cone.coords(chi.mat))
+        misfit = _Misfit(table, "floor")
+        # the misfit holds model counts in units of count_unit, in the
+        # coordinates of the Pauli-basis chi
+        coords = misfit.cone.coords(change_basis(chi, pauli_basis()).mat)
+        model = misfit.count_unit * (misfit.model @ coords)
         assert np.abs(model - mu.ravel()).max() <= 1e-12 * exposure
 
     def test_reordered_basis_under_a_named_label(self):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lossyqpt.channels import (
+    ChiMatrix,
     OperatorBasis,
     apply_channel,
     chi_from_kraus,
@@ -19,8 +20,10 @@ from lossyqpt.tomography import (
     MAX_RATE,
     MIN_EXPOSURE,
     CountTable,
+    _tp_equations,
     analyzer_dual_frame,
     build_beta,
+    hermitian_frame,
     invert_beta,
     lambda_from_outputs,
     linear_inversion,
@@ -142,6 +145,39 @@ class TestBetaTau:
         mat[0, 0] = 1.0
         with pytest.raises(SingularSystemError):
             invert_beta(mat)
+
+
+class TestTpEquations:
+    """The plan's equations (E, e) of P = I against probability_operator."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from(["pauli", "elementary", "rotated"]),
+           st.integers(0, 2**32 - 1))
+    def test_residual_is_p_minus_identity(self, which, seed):
+        # E x - e holds the P-frame coordinates of P(chi(x)) - I
+        rng = np.random.default_rng(seed)
+        if which == "rotated":
+            ops = np.einsum("mk,kij->mij", random_unitary(rng, 4), PB.ops)
+            basis = OperatorBasis(2, ops, "rotated")
+        else:
+            basis = PB if which == "pauli" else elementary_basis(2)
+        frame = hermitian_frame(4)
+        e_mat, e_rhs = _tp_equations(basis, frame)
+        x = rng.normal(size=16)
+        chi = ChiMatrix(basis, (frame.T @ x).reshape(4, 4))
+        p = probability_operator(chi).mat - np.eye(2)
+        coords = (hermitian_frame(2).conj() @ p.reshape(-1)).real
+        tol = 1e-12 * max(1.0, np.abs(x).max())
+        assert np.abs(e_mat @ x - e_rhs - coords).max() <= tol
+
+    @pytest.mark.parametrize("basis", [PB, elementary_basis(2)],
+                             ids=["pauli", "elementary"])
+    def test_gram_oracle_bits(self, basis):
+        # vec(P) = gram.T @ vec(chi), row (m, n) of gram being vec(A_n^dag A_m)
+        frame = hermitian_frame(4)
+        gram = np.einsum("nji,mjk->mnik", basis.ops.conj(), basis.ops).reshape(16, 4)
+        oracle = (hermitian_frame(2).conj() @ (frame @ gram).T).real
+        assert _tp_equations(basis, frame)[0].tobytes() == oracle.tobytes()
 
 
 class TestStateTomography:
