@@ -297,7 +297,11 @@ def process_fidelity_ntp(
     traces.  Invariant under rescaling either argument: channels that
     differ only by a global loss are indistinguishable by this figure.
     Either chi must have a positive trace and no entry above
-    MAX_ENTRY_PER_TRACE times it.
+    MAX_ENTRY_PER_TRACE times it.  It is qmath.spectral_fidelity of the
+    spectra both ChiMatrix objects keep (a reference in another basis is
+    changed into chi's first), so once both are cached a call takes no
+    eigensolver, and against a rank-one reference, such as every
+    ppbs_chi, no numpy.linalg call at all.
     """
     ta, tb = chi.trace(), chi_id.trace()
     if ta <= 0.0 or tb <= 0.0:
@@ -315,8 +319,11 @@ def process_fidelity_ntp(
         raise RepresentationError(
             f"cannot compare channels of dimension {chi.dim} and {chi_id.dim}"
         )
-    chi_id = change_basis(chi_id, chi.basis)
     # dividing the fidelity by the traces equals the fidelity of the
-    # unit-trace matrices chi' = chi/Tr[chi]; normalizing first keeps the
-    # computation at a scale where the spectral clamp is harmless
-    return qmath.state_fidelity(chi.mat / ta, chi_id.mat / tb, clamp_tol)
+    # unit-trace matrices chi' = chi/Tr[chi]: their spectra are the cached
+    # spectra of chi, eigenvalues divided by the trace, so the spectral
+    # clamp acts at unit scale
+    a, b = chi._spectrum, change_basis(chi_id, chi.basis)._spectrum
+    return qmath.spectral_fidelity(
+        qmath.EigDecomposition(a.eigenvalues / ta, a.eigenvectors),
+        qmath.EigDecomposition(b.eigenvalues / tb, b.eigenvectors), clamp_tol)

@@ -53,7 +53,13 @@ projections instead of 4 347, and the largest fit of optimize's harder
 grid 99 instead of 21.  Only a table whose kept cells do not determine
 chi is solved in chi itself.  Everything that depends only on the
 protocol comes from tomography.protocol_plan, the plan the simulator
-reads too.  A protocol
+reads too.  Everything that depends on the table as well, the weighted
+misfit, the least-squares start and, built on the first chi-space fit,
+the whitened problem with its Hessian and ADMM penalty, is built once
+per table and weight mode and cached by content (_problem): the MLE and
+trace-preserving fits of one table share it, as the paper fits every
+table both ways, and the linear fits and likelihood read the misfit
+from it without paying for the whitening.  A protocol
 whose inputs or analyzers do not determine chi raises
 SingularSystemError, and a table without counts raises
 DegenerateFitError in the chi-space fits.
@@ -69,13 +75,14 @@ from __future__ import annotations
 import math
 from copy import copy
 from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import qmath
 from .channels import ChiMatrix, change_basis, pauli_basis, probability_operator
 from .errors import DataError, DegenerateFitError, SingularSystemError
-from .optimize import _RHO_FLOOR, minimize_adaptive
+from .optimize import _RHO_FLOOR, _penalty, minimize_adaptive
 from .tomography import RANK_TOL, CountTable, protocol_plan
 
 
@@ -134,8 +141,9 @@ class FitReport:
 
 class _Misfit:
     """The weighted misfit of one count table in frame coordinates, and
-    the cone of chi in them (a qmath.PsdCone, which converts coordinates
-    to matrices and back).
+    the cone of chi in them (a qmath.PsdCone, here only to convert
+    coordinates to matrices and back: each solve projects with a cone of
+    its own).  Its arrays are read-only.
 
     It is held in units in which no exposure over- or underflows: counts
     and model counts are divided by count_unit = 2^k, the power of two
@@ -166,6 +174,7 @@ class _Misfit:
         self.inv_w = np.ldexp(1.0 / mantissa, e - exponent)
         self.model, self.n, self.amps = model, np.ldexp(n_flat, -k), amps
         self.power = 2 * k - e
+        _freeze(self.inv_w, self.model, self.n, self.amps)
 
     def __call__(self, x):
         """(f, gradient of f) at coordinates x, both divided by 2^power."""
@@ -213,8 +222,77 @@ class _Misfit:
     def transformed(self, t: np.ndarray) -> _Misfit:
         """The misfit of y with x = T y: f(T y) and gradient T^T grad f."""
         other = copy(self)
-        other.model = self.model @ t
+        other.model = _freeze(self.model @ t)
         return other
+
+
+def _freeze(*arrays):
+    """Make the arrays read-only, as a cached set-up is shared; returns
+    the first."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays[0]
+
+
+class _Problem:
+    """The set-up of one count table that all its fits share, built once
+    per table and weight mode by _problem: the misfit and the
+    least-squares start, and, on the first chi-space fit, the problem
+    that both chi-space fits solve (see _solve).  fit_linear,
+    fit_post_selected and likelihood never build the latter.  Its
+    arrays are read-only.
+    """
+
+    def __init__(self, counts: CountTable, weight_mode: str):
+        self.counts = counts
+        self.misfit = _Misfit(counts, weight_mode)
+
+    @cached_property
+    def x0(self) -> np.ndarray:
+        """Frame coordinates of the least-squares chi of the rates."""
+        return _freeze(_least_squares(self.misfit, self.counts))
+
+    @cached_property
+    def chi_space(self):
+        """(problem, start, T, H, rho) of the chi-space fits: the misfit
+        they minimize, the start of the solve, the congruence T that maps
+        its coordinates back (None for an unwhitened fit), the Hessian H
+        and the ADMM penalty rho of H.
+
+        A table whose kept cells determine chi is solved for the
+        coordinates y of the whitened chi' (see _Misfit.congruence) and
+        mapped back as x = T y; since ||T||_2 <= 1, a primal residual of
+        xtol in y is at most xtol in chi.  When dropped dark cells leave
+        chi undetermined, the optimum is not unique and the whitened solve
+        can stall or diverge where the plain one converges, so such a fit
+        keeps frame coordinates.  H = 2 M^T W M is formed from the model M
+        of the problem solved, not as T^T H T, so that it stays positive
+        semidefinite to the rounding of its own norm where the weights
+        span many orders of magnitude.
+        """
+        misfit, x0 = self.misfit, self.x0
+        problem, t = misfit, None
+        # with every cell kept, the plan's rank check already holds
+        if len(misfit.n) == len(misfit.plan.design) or np.linalg.matrix_rank(
+                misfit.model,
+                tol=RANK_TOL * self.counts.exposure / misfit.count_unit) == x0.size:
+            t, t_inv = misfit.congruence()
+            problem, x0 = misfit.transformed(_freeze(t)), _freeze(t_inv @ x0)
+        hessian = _freeze(2.0 * (problem.model.T * problem.inv_w) @ problem.model)
+        return problem, x0, t, hessian, _penalty(hessian)
+
+
+def _problem(counts: CountTable, weight_mode: str) -> _Problem:
+    """The shared set-up of a table, cached by its content: the labels,
+    the exposure, the bytes of the counts and the weight mode."""
+    return _cached_problem(counts.inputs, counts.projectors, counts.exposure,
+                           counts.counts.tobytes(), weight_mode)
+
+
+@lru_cache(maxsize=4)
+def _cached_problem(inputs, projectors, exposure, raw, weight_mode) -> _Problem:
+    counts = np.frombuffer(raw).reshape(len(inputs), len(projectors))
+    return _Problem(CountTable(2, inputs, projectors, exposure, counts), weight_mode)
 
 
 def _as_chi(chi) -> ChiMatrix:
@@ -228,7 +306,7 @@ def likelihood(chi, counts: CountTable, weight_mode: str = "floor") -> float:
     (a ChiMatrix in any basis, or a 4 x 4 Hermitian array in the Pauli
     basis)."""
     mat = change_basis(_as_chi(chi), pauli_basis()).mat
-    misfit = _Misfit(counts, weight_mode)
+    misfit = _problem(counts, weight_mode).misfit
     return misfit.unscaled(misfit(misfit.cone.coords(mat))[0])
 
 
@@ -241,7 +319,7 @@ def likelihood_gradient(
     chi's own basis, the Pauli basis for an array."""
     chi = _as_chi(chi)
     mat = change_basis(chi, pauli_basis()).mat
-    misfit = _Misfit(counts, weight_mode)
+    misfit = _problem(counts, weight_mode).misfit
     cone = misfit.cone
     grad = cone.matrix(np.ldexp(misfit(cone.coords(mat))[1], misfit.power))
     if chi.basis is not pauli_basis():
@@ -270,38 +348,22 @@ def _least_squares(misfit: _Misfit, counts: CountTable, post_select=False):
 
 
 def _solve(counts, opts, tp: bool):
-    """(misfit, solver result) of a chi-space fit.
-
-    A fit whose kept cells determine chi, with or without P = I, is solved
-    for the coordinates y of the whitened chi' (see _Misfit.congruence) and
-    mapped back as x = T y; since ||T||_2 <= 1, a primal residual of xtol
-    in y is at most xtol in chi.  When dropped dark cells leave chi
-    undetermined, the optimum is not unique and the whitened solve can
-    stall or diverge where the plain one converges, so such a fit keeps
-    frame coordinates.  The Hessian 2 M^T W M is formed from the model M of
-    the problem solved, not as T^T H T, so that it stays positive
-    semidefinite to the rounding of its own norm where the weights span
-    many orders of magnitude.
-    """
+    """(misfit, solver result) of a chi-space fit of the table's shared
+    set-up (_Problem.chi_space), started from the projection of the
+    least-squares chi onto the cone."""
     if not counts.counts.any():
         # grad f(0) = 0 would set the solver's dual tolerance to zero
         raise DegenerateFitError("the count table holds no counts; nothing to fit")
-    misfit = _Misfit(counts, opts.weight_mode)
-    # the solver starts from the projection of x0, the least-squares chi,
-    # onto the cone
-    x0 = _least_squares(misfit, counts)
-    problem, t = misfit, None
+    setup = _problem(counts, opts.weight_mode)
+    problem, x0, t, hessian, rho = setup.chi_space
+    misfit = setup.misfit
     equations = misfit.plan.tp_equations if tp else None
-    # with every cell kept, the plan's rank check already holds
-    if len(misfit.n) == len(misfit.plan.design) or np.linalg.matrix_rank(
-            misfit.model, tol=RANK_TOL * counts.exposure / misfit.count_unit) == x0.size:
-        t, t_inv = misfit.congruence()
-        problem, x0 = misfit.transformed(t), t_inv @ x0
-        if tp:
-            equations = (equations[0] @ t, equations[1])
-    hessian = 2.0 * (problem.model.T * problem.inv_w) @ problem.model
-    res = minimize_adaptive(problem, x0, hessian, misfit.cone, equations=equations,
-                            xtol=opts.xtol, maxfev=opts.maxfev)
+    if tp and t is not None:
+        equations = (equations[0] @ t, equations[1])
+    # a cone of its own: the projection keeps its last spectrum
+    res = minimize_adaptive(problem, x0, hessian, qmath.PsdCone(misfit.plan.lift),
+                            equations=equations, xtol=opts.xtol, maxfev=opts.maxfev,
+                            rho=rho)
     if t is not None:
         res = replace(res, x=t @ res.x)
     return misfit, replace(res, fun=misfit.unscaled(res.fun))
@@ -380,8 +442,9 @@ def fit_trace_preserving(
 
 
 def _fit_linear(counts, opts, post_select: bool) -> FitReport:
-    misfit = _Misfit(counts, opts.weight_mode)
-    x = _least_squares(misfit, counts, post_select)
+    setup = _problem(counts, opts.weight_mode)
+    misfit = setup.misfit
+    x = _least_squares(misfit, counts, post_select=True) if post_select else setup.x0
     method = "post-selected" if post_select else "linear"
     return _report(method, misfit.chi(x), misfit.unscaled(misfit(x)[0]), opts)
 

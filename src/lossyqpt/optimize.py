@@ -151,6 +151,7 @@ def minimize_adaptive(
     equations: tuple[np.ndarray, np.ndarray] | None = None,
     xtol: float = 1e-9,
     maxfev: int = 50_000,
+    rho: float | None = None,
 ) -> MinimizeResult:
     """Minimize the convex quadratic func over the set `project` maps onto.
 
@@ -165,11 +166,14 @@ def minimize_adaptive(
     maxfev projections, ADMM steps and Newton candidates alike.  x is the
     projection z of the state: the converged step's, or else the last
     point kept, an ADMM step or a Newton candidate.  evaluations counts
-    the calls of func, two per solve.
+    the calls of func, two per solve.  rho is the ADMM penalty, by
+    default _penalty(hessian), the one rule for it; a caller that solves
+    with the same H more than once computes it once and passes it in.
     """
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
-    rho = _penalty(hessian)
+    if rho is None:
+        rho = _penalty(hessian)
     b = -func(np.zeros(n))[1]
     eye = np.eye(n)
     shifted = hessian + rho * eye

@@ -146,6 +146,23 @@ class PsdCone:
         return (rotated * omega.reshape(-1)).dot(rotated.T)
 
 
+def _kept_eigenpairs(eig: EigDecomposition, clamp_tol: float, what: str):
+    """(eigenvalues, eigenvectors) of the Hermitian matrix eig decomposes
+    that psd_sqrt keeps; raises NotPsdError, naming the matrix `what`,
+    if an eigenvalue lies below -clamp_tol * max(1, lambda_max)."""
+    w = eig.eigenvalues
+    scale = max(1.0, float(w[-1]))
+    if w[0] < -clamp_tol * scale:
+        raise NotPsdError(
+            f"{what} has eigenvalue {w[0]:.6e} below -{clamp_tol * scale:.1e}",
+            eigenvalue=float(w[0]),
+        )
+    zero_window = min(clamp_tol, DEFAULT_CLAMP_TOL) * max(float(w[-1]), 0.0)
+    # the eigenvalues ascend, so the kept ones, above the window, come last
+    first = np.count_nonzero(w <= zero_window)
+    return w[first:], eig.eigenvectors[:, first:]
+
+
 def psd_sqrt(
     m: np.ndarray, clamp_tol: float = DEFAULT_CLAMP_TOL
 ) -> np.ndarray:
@@ -158,49 +175,60 @@ def psd_sqrt(
     loosening clamp_tol for noisy reconstructed matrices does not erase
     genuine spectrum.
     """
-    eig = herm_eig(m)
-    w = eig.eigenvalues
-    scale = max(1.0, float(w[-1]))
-    if w[0] < -clamp_tol * scale:
-        raise NotPsdError(
-            f"matrix has eigenvalue {w[0]:.6e} below -{clamp_tol * scale:.1e}",
-            eigenvalue=float(w[0]),
-        )
-    zero_window = min(clamp_tol, DEFAULT_CLAMP_TOL) * max(float(w[-1]), 0.0)
-    w = np.where(w > zero_window, w, 0.0)
-    v = eig.eigenvectors
+    w, v = _kept_eigenpairs(herm_eig(m), clamp_tol, "matrix")
     return (v * np.sqrt(w)) @ v.conj().T
+
+
+def spectral_fidelity(
+    a: EigDecomposition, b: EigDecomposition, clamp_tol: float = DEFAULT_CLAMP_TOL
+) -> float:
+    """The fidelity ||sqrt(a_+) sqrt(b_+)||_1^2 of two Hermitian matrices
+    of equal shape, given by their spectra; state_fidelity's formula.
+
+    a_+ and b_+ are built from the eigenpairs that psd_sqrt keeps, with
+    its NotPsdError threshold and its zeroing window.  With (alpha_i, p_i)
+    and (beta_j, q_j) the kept pairs, the singular values of sqrt(a_+)
+    sqrt(b_+) are those of the k_a x k_b matrix M_ij = sqrt(alpha_i
+    beta_j) <p_i|q_j>.  Where either side has rank one, M is a vector and
+    F = sum_ij alpha_i beta_j |<p_i|q_j>|^2, with no eigensolver: every
+    PPBS reference chi is rank one.  Otherwise F = (sum sqrt(mu))^2 over
+    the eigenvalues mu of the smaller of M M^H and M^H M, the inner
+    product sqrt(a_+) b_+ sqrt(a_+) on the support of a_+ or of b_+.
+    """
+    wa, va = _kept_eigenpairs(a, clamp_tol, "fidelity inner product: a")
+    wb, vb = _kept_eigenpairs(b, clamp_tol, "fidelity inner product: b")
+    overlap = va.conj().T @ vb  # <p_i|q_j>
+    if min(wa.size, wb.size) <= 1:
+        return float(wa @ np.abs(overlap) ** 2 @ wb)
+    m = (np.sqrt(wa)[:, None] * overlap) * np.sqrt(wb)
+    inner = m.conj().T @ m if wb.size <= wa.size else m @ m.conj().T
+    mu = np.linalg.eigvalsh(inner)
+    # rank-deficient inputs leave rounding residue ~1e-16 in the inner
+    # spectrum; through the square root each such eigenvalue would inject
+    # ~1e-8, so anything that far below the leading eigenvalue is noise
+    mu = np.where(mu > 1e-13 * max(float(mu[-1]), 0.0), mu, 0.0)
+    return float(np.sum(np.sqrt(mu)) ** 2)
 
 
 def state_fidelity(
     a: np.ndarray, b: np.ndarray, clamp_tol: float = DEFAULT_CLAMP_TOL
 ) -> float:
-    """Quantum state fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2.
+    """Quantum state fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2 =
+    ||sqrt(a) sqrt(b)||_1^2.
 
     Traces need not be one; callers that want a normalized figure divide
     by the traces themselves.  Symmetric in its arguments to numerical
-    precision.  Both arguments are validated, a by psd_sqrt and b here;
-    the inner product sqrt(a) b sqrt(a) is symmetrized before its spectrum
-    is taken, so that spectrum skips herm_eig's Hermiticity check.
+    precision.  Both arguments are validated and their spectra taken
+    here; spectral_fidelity, which process_fidelity_ntp calls with the
+    spectra a ChiMatrix keeps, does the rest.  A negative eigenvalue of
+    either one below -clamp_tol * max(1, lambda_max) raises NotPsdError,
+    and smaller ones are clipped as psd_sqrt clips them.
     """
-    a = np.asarray(a, dtype=complex)
+    a = require_hermitian(a, "fidelity argument")
     b = require_hermitian(b, "fidelity argument")
     if a.shape != b.shape:
         raise RepresentationError(
             f"fidelity arguments must have equal shapes, got {a.shape} and {b.shape}"
         )
-    sa = psd_sqrt(a, clamp_tol)
-    inner = sa @ b @ sa
-    inner = 0.5 * (inner + inner.conj().T)
-    w = np.linalg.eigh(inner)[0]
-    scale = max(1.0, float(w[-1])) if w.size else 1.0
-    if w.size and w[0] < -clamp_tol * scale:
-        raise NotPsdError(
-            f"fidelity inner product has eigenvalue {w[0]:.6e}",
-            eigenvalue=float(w[0]),
-        )
-    # rank-deficient inputs leave rounding residue ~1e-16 in the inner
-    # spectrum; through the square root each such eigenvalue would inject
-    # ~1e-8, so anything that far below the leading eigenvalue is noise
-    w = np.where(w > 1e-13 * max(float(w[-1]), 0.0), w, 0.0)
-    return float(np.sum(np.sqrt(w)) ** 2)
+    return spectral_fidelity(EigDecomposition(*np.linalg.eigh(a)),
+                             EigDecomposition(*np.linalg.eigh(b)), clamp_tol)

@@ -63,7 +63,8 @@ class CountTable:
     expected number of pairs per input setting.  Counts are kept as
     floats: Poisson draws are integer valued, while noiseless tables
     carry the exact expected values so that the algebraic pipeline
-    reproduces the underlying channel to machine precision.
+    reproduces the underlying channel to machine precision.  The table
+    keeps a read-only copy of the counts it was given.
     """
 
     dim: int
@@ -84,7 +85,8 @@ class CountTable:
             if len(set(labels)) != len(labels):
                 raise DataError(f"duplicate {what} labels in {list(labels)!r}")
             object.__setattr__(self, what, labels)
-        c = np.asarray(self.counts, dtype=float)
+        # a read-only copy: a validated table cannot change under its caller
+        c = np.array(self.counts, dtype=float)
         shape = (len(self.inputs), len(self.projectors))
         if c.shape != shape:
             raise DataError(f"counts must have shape {shape}, got {c.shape}")
@@ -95,6 +97,7 @@ class CountTable:
         if not np.all((c >= 0) & (c <= MAX_RATE * self.exposure)):
             raise DataError(f"counts must lie in [0, {MAX_RATE:g} x exposure] = "
                             f"[0, {MAX_RATE * self.exposure:g}]")
+        c.flags.writeable = False
         object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "counts", c)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lossyqpt import serialize
+from lossyqpt import qmath, serialize
 from lossyqpt.channels import (
     ChiMatrix,
     OperatorBasis,
@@ -20,6 +20,7 @@ from lossyqpt.channels import (
     process_fidelity_ntp,
 )
 from lossyqpt.errors import NotPsdError, RepresentationError
+from lossyqpt.simulator import PpbsParams, ppbs_chi
 from lossyqpt.states import state_density
 
 PB = pauli_basis()
@@ -431,6 +432,85 @@ class TestProcessFidelity:
         ref = ChiMatrix(PB, np.diag([1.0, 0, 0, 0]).astype(complex))
         with pytest.raises(RepresentationError):
             process_fidelity_ntp(chi, ref)
+
+
+def psd_sqrt_fidelity(a, b, clamp_tol):
+    """The fidelity by the square-root formula, the oracle of the spectral
+    one: (Tr sqrt(sqrt(a) b sqrt(a)))^2 with qmath.psd_sqrt's clamp on a
+    and the inner spectrum zeroed below 1e-13 of its largest eigenvalue."""
+    sa = qmath.psd_sqrt(a, clamp_tol)
+    inner = sa @ b @ sa
+    w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
+    w = np.where(w > 1e-13 * max(float(w[-1]), 0.0), w, 0.0)
+    return float(np.sum(np.sqrt(w)) ** 2)
+
+
+def random_psd_chi(rng, basis, rank):
+    g = rng.normal(size=(basis.size, rank)) + 1j * rng.normal(size=(basis.size, rank))
+    return ChiMatrix(basis, g @ g.conj().T)
+
+
+class TestSpectralFidelity:
+    """process_fidelity_ntp and state_fidelity, scored from spectra, against
+    the square-root formula."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.sampled_from(["pauli", "elementary"]), st.integers(1, 4),
+           st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_psd_pairs_match_the_square_root_formula(self, kind, rank_a, rank_b, seed):
+        rng = np.random.default_rng(seed)
+        basis = PB if kind == "pauli" else elementary_basis(2)
+        a, b = random_psd_chi(rng, basis, rank_a), random_psd_chi(rng, PB, rank_b)
+        b_mat = change_basis(b, basis).mat
+        expected = psd_sqrt_fidelity(a.mat / a.trace(), b_mat / b.trace(),
+                                     qmath.DEFAULT_CLAMP_TOL)
+        assert process_fidelity_ntp(a, b) == pytest.approx(expected, rel=0, abs=1e-12)
+        assert qmath.state_fidelity(a.mat, b_mat) == pytest.approx(
+            psd_sqrt_fidelity(a.mat, b_mat, qmath.DEFAULT_CLAMP_TOL), rel=0,
+            abs=1e-12 * a.trace() * b.trace())
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.sampled_from(["pauli", "elementary"]), st.integers(1, 3),
+           st.integers(0, 2**32 - 1))
+    def test_indefinite_chi_against_rank_one_references(self, kind, negative, seed):
+        # how the CLI scores a fit: clamp_tol=1.0 clips the negative part
+        rng = np.random.default_rng(seed)
+        basis = PB if kind == "pauli" else elementary_basis(2)
+        spectrum = np.concatenate([rng.uniform(-0.2, 0.0, negative),
+                                   rng.uniform(0.5, 1.0, 4 - negative)])
+        u = random_unitary(rng, 4)
+        chi = ChiMatrix(basis, (u * spectrum) @ u.conj().T)
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        ref = ChiMatrix(PB, np.outer(psi, psi.conj()))
+        ref_mat = change_basis(ref, basis).mat
+        expected = psd_sqrt_fidelity(chi.mat / chi.trace(), ref_mat / ref.trace(), 1.0)
+        got = process_fidelity_ntp(chi, ref, clamp_tol=1.0)
+        assert got == pytest.approx(expected, rel=0, abs=1e-12)
+
+    def test_cached_spectra_score_without_linear_algebra(self, monkeypatch):
+        # every PPBS reference is rank one: from the two spectra a ChiMatrix
+        # keeps, the fidelity is a closed form
+        rng = np.random.default_rng(2)
+        chi = random_psd_chi(rng, PB, 4)
+        ref = ppbs_chi(PpbsParams.from_gamma(0.55))
+        chi.min_eigenvalue(), ref.min_eigenvalue()  # the spectra, cached
+        calls = []
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return counted
+
+        for name in np.linalg.__all__:
+            fn = getattr(np.linalg, name)
+            if callable(fn) and not isinstance(fn, type):
+                monkeypatch.setattr(np.linalg, name, counting(name, fn))
+        fidelity = process_fidelity_ntp(chi, ref, clamp_tol=1.0)
+        assert calls == []
+        monkeypatch.undo()
+        expected = psd_sqrt_fidelity(chi.mat / chi.trace(), ref.mat / ref.trace(), 1.0)
+        assert fidelity == pytest.approx(expected, rel=0, abs=1e-12)
 
 
 class TestErrorPaths:

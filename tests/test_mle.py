@@ -465,6 +465,85 @@ class TestCongruence:
         assert eigs[0] >= -1e-12 * eigs[-1]
 
 
+def _one_row_table():
+    """table_for(0.5, seed=1) with only input H's row lit:
+    test_few_lit_cells_fit_unwhitened's one-row table, which with dark
+    cells dropped does not determine chi."""
+    table = table_for(0.5, seed=1)
+    counts = np.zeros_like(table.counts)
+    counts[0] = table.counts[0]
+    return CountTable(2, table.inputs, table.projectors, table.exposure, counts)
+
+
+def _chi_space_fits(table, opts, order):
+    """The chi bytes, objective, iterations and converged flag of each fit
+    in order, by fit name."""
+    out = {}
+    for fit in order:
+        r = fit(table, opts=opts)
+        out[fit.__name__] = (r.chi.mat.tobytes(), r.objective, r.iterations, r.converged)
+    return out
+
+
+class TestSharedSetUp:
+    """The MLE and TP fits of one table share its set-up, built once."""
+
+    @pytest.mark.parametrize("weight_mode, whitened", [("floor", True), ("drop", False)],
+                             ids=["floor-whitened", "drop-one-row"])
+    def test_fits_do_not_depend_on_the_cache(self, weight_mode, whitened):
+        table = table_for(0.55, seed=3) if whitened else _one_row_table()
+        opts = FitOptions(weight_mode=weight_mode)
+        both = (fit_unconstrained, fit_trace_preserving)
+        cold = {}
+        for fit in both:
+            mle._cached_problem.cache_clear()
+            cold.update(_chi_space_fits(table, opts, [fit]))
+        mle._cached_problem.cache_clear()
+        forward = _chi_space_fits(table, opts, both)
+        # the set-up is cached by content, so a copy of the table reads it too
+        copied = CountTable(2, table.inputs, table.projectors, table.exposure,
+                            table.counts.copy())
+        warm = _chi_space_fits(copied, opts, both)
+        mle._cached_problem.cache_clear()
+        reverse = _chi_space_fits(table, opts, both[::-1])
+        assert cold == forward == warm == reverse
+        assert (mle._problem(table, weight_mode).chi_space[2] is not None) == whitened
+
+    def test_congruence_runs_once_per_table(self, monkeypatch):
+        calls = []
+        congruence = _Misfit.congruence
+
+        def spy(misfit):
+            calls.append(misfit)
+            return congruence(misfit)
+
+        monkeypatch.setattr(_Misfit, "congruence", spy)
+        table = table_for(0.1, seed=8)
+        mle._cached_problem.cache_clear()
+        fit_linear(table)
+        fit_post_selected(table)
+        likelihood(np.eye(4) / 4, table)
+        assert not calls
+        fit_unconstrained(table)
+        fit_trace_preserving(table)
+        fit_unconstrained(table)
+        assert len(calls) == 1
+        # another weight mode is another set-up
+        fit_trace_preserving(table, opts=FitOptions(weight_mode="drop"))
+        assert len(calls) == 2
+        mle._cached_problem.cache_clear()
+
+    def test_set_up_is_read_only(self):
+        table = table_for(0.55, seed=4)
+        setup = mle._problem(table, "floor")
+        problem, x0, t, hessian, rho = setup.chi_space
+        misfit = setup.misfit
+        for arr in (misfit.model, misfit.n, misfit.inv_w, misfit.amps, setup.x0,
+                    problem.model, x0, t, hessian):
+            assert not arr.flags.writeable
+        assert rho == mle._penalty(hessian)
+
+
 class TestFitReportFields:
     @pytest.mark.parametrize("fit, method", [
         (fit_linear, "linear"), (fit_post_selected, "post-selected"),

@@ -331,6 +331,22 @@ class TestPenalty:
     def test_zero_hessian(self):
         assert _penalty(np.zeros((16, 16))) == 1.0
 
+    def test_rho_from_the_caller(self):
+        # a caller that passes _penalty(H) gets the solve it gets without
+        rng = np.random.default_rng(5)
+        g = rng.normal(size=(16, 16))
+        hessian = g @ g.T
+        b = hessian @ coords(np.diag([1.0, 0.5, 0.0, -0.5]).astype(complex))
+
+        def f(x):
+            return 0.5 * x @ hessian @ x - b @ x, hessian @ x - b
+
+        own = minimize_adaptive(f, np.zeros(16), hessian, project)
+        passed = minimize_adaptive(f, np.zeros(16), hessian, project, rho=_penalty(hessian))
+        assert own.converged and passed.converged
+        assert own.iterations == passed.iterations
+        assert own.x.tobytes() == passed.x.tobytes()
+
     def test_rank_one_hessian(self):
         # the null eigenvalues stay out of the geometric mean
         u = np.random.default_rng(3).normal(size=16)

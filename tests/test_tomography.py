@@ -68,6 +68,16 @@ class TestCountTable:
         with pytest.raises(DataError, match="counts"):
             CountTable(2, STATE_LABELS, STATE_LABELS, 1e4, counts)
 
+    def test_counts_are_a_read_only_copy(self):
+        # a validated table cannot change when its caller's array does
+        arr = np.full((6, 6), 10.0)
+        table = CountTable(2, STATE_LABELS, STATE_LABELS, 1e4, arr)
+        arr[0, 0] = -5.0
+        assert table.counts[0, 0] == 10.0
+        assert not table.counts.flags.writeable
+        with pytest.raises(ValueError):
+            table.counts[0, 0] = -5.0
+
     def test_poisson_table_at_largest_exposure(self):
         # an exposure at the bound is accepted, and draws overshoot their
         # mean, the exposure itself on six cells
