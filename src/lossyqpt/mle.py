@@ -55,11 +55,14 @@ chi is solved in chi itself.  Everything that depends only on the
 protocol comes from tomography.protocol_plan, the plan the simulator
 reads too.  Everything that depends on the table as well, the weighted
 misfit, the least-squares start and, built on the first chi-space fit,
-the whitened problem with its Hessian and ADMM penalty, is built once
-per table and weight mode and cached by content (_problem): the MLE and
-trace-preserving fits of one table share it, as the paper fits every
-table both ways, and the linear fits and likelihood read the misfit
-from it without paying for the whitening.  A protocol
+the whitened problem with its Hessian and ADMM penalty, is a _Problem,
+built once per table object and weight mode and cached by _problem (a
+CountTable hashes by identity, and its counts are read-only): the MLE
+and trace-preserving fits of one table share it, as the paper fits
+every table both ways, and the linear fits and likelihood read the
+misfit from it without paying for the whitening.  A _Misfit is only the
+quadratic a solve minimizes, of the table's model or of the whitened
+one.  A protocol
 whose inputs or analyzers do not determine chi raises
 SingularSystemError, and a table without counts raises
 DegenerateFitError in the chi-space fits.
@@ -73,7 +76,6 @@ one way into or out of it.
 from __future__ import annotations
 
 import math
-from copy import copy
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
@@ -86,6 +88,13 @@ from .optimize import _RHO_FLOOR, _penalty, minimize_adaptive
 from .tomography import RANK_TOL, CountTable, protocol_plan
 
 
+def _check_weight_mode(weight_mode):
+    """Refuse a weight mode other than "floor" and "drop": FitOptions and
+    every set-up check it here, so no other value is read as "floor"."""
+    if weight_mode not in ("floor", "drop"):
+        raise ValueError(f"unknown weight_mode {weight_mode!r}")
+
+
 @dataclass(frozen=True)
 class FitOptions:
     """Solver and weighting knobs; defaults reproduce the standard fit.
@@ -94,6 +103,8 @@ class FitOptions:
     xtol bounds its primal residual (chi units) and its dual residual
     (relative to the data's gradient scale).  The convex fit has a single
     start, so restarts and seed are only recorded in the report.
+    restarts and maxfev are integers (NumPy's too, kept as int) and xtol
+    is a float; booleans are refused.
     constraint_tol, the largest ||P - I||_F a trace-preserving fit may
     return, is a fixed class constant.
     """
@@ -106,14 +117,16 @@ class FitOptions:
     constraint_tol = 1e-6
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
-        if self.maxfev < 1:
-            raise ValueError(f"maxfev must be at least 1, got {self.maxfev}")
-        if not (np.isfinite(self.xtol) and self.xtol > 0.0):
+        for name in ("restarts", "maxfev"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+            object.__setattr__(self, name, int(value))
+        if isinstance(self.xtol, bool) or not (np.isfinite(self.xtol) and self.xtol > 0.0):
             raise ValueError(f"xtol must be finite and positive, got {self.xtol}")
-        if self.weight_mode not in ("floor", "drop"):
-            raise ValueError(f"unknown weight_mode {self.weight_mode!r}")
+        _check_weight_mode(self.weight_mode)
 
 
 @dataclass(frozen=True)
@@ -140,20 +153,54 @@ class FitReport:
 
 
 class _Misfit:
-    """The weighted misfit of one count table in frame coordinates, and
-    the cone of chi in them (a qmath.PsdCone, here only to convert
-    coordinates to matrices and back: each solve projects with a cone of
-    its own).  Its arrays are read-only.
+    """The quadratic a chi-space solve minimizes: the weighted misfit
+    sum_i inv_w_i (n_i - (model @ x)_i)^2 of counts n against model
+    counts at coordinates x, in the units its _Problem holds them in.  Its
+    arrays are read-only, as a cached set-up shares them.  The whitened
+    problem of a table is the misfit of the model times T: f(T y), with
+    gradient T^T grad f.
+    """
 
-    It is held in units in which no exposure over- or underflows: counts
-    and model counts are divided by count_unit = 2^k, the power of two
-    nearest above the exposure, and the weights by the power of two 2^e
-    nearest above the smallest of them, so that the largest inv_w lies in
-    (1, 2].  Both are exact, and f = 2^power times the misfit in these
+    def __init__(self, model: np.ndarray, n: np.ndarray, inv_w: np.ndarray):
+        self.model, self.n, self.inv_w = model, n, inv_w
+        _freeze(model, n, inv_w)
+
+    def __call__(self, x):
+        """(f, gradient of f) at coordinates x."""
+        r = self.n - self.model @ x
+        wr = self.inv_w * r
+        return float(r @ wr), -2.0 * (self.model.T @ wr)
+
+
+def _freeze(*arrays):
+    """Make the arrays read-only, as a cached set-up is shared; returns
+    the first."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays[0]
+
+
+class _Problem:
+    """The set-up of one count table that all its fits share, built once
+    per table object and weight mode by _problem: the protocol plan, the
+    cone of chi in frame coordinates (a qmath.PsdCone, here only to
+    convert coordinates to matrices and back: each solve projects with a
+    cone of its own), the weighted misfit and the least-squares start,
+    and, on the first chi-space fit, the problem that both chi-space fits
+    solve (see chi_space).  fit_linear, fit_post_selected and likelihood
+    never build the latter.  Its arrays are read-only.
+
+    The misfit is held in units in which no exposure over- or underflows:
+    counts and model counts are divided by count_unit = 2^k, the power of
+    two nearest above the exposure, and the weights by the power of two
+    2^e nearest above the smallest of them, so that the largest inv_w lies
+    in (1, 2].  Both are exact, and f = 2^power times the misfit in these
     units, with power = 2k - e.
     """
 
-    def __init__(self, counts: CountTable, weight_mode):
+    def __init__(self, counts: CountTable, weight_mode: str):
+        _check_weight_mode(weight_mode)
+        self.counts = counts
         self.plan = protocol_plan(counts.inputs, counts.projectors)
         self.cone = qmath.PsdCone(self.plan.lift)
         k = math.frexp(counts.exposure)[1]
@@ -171,16 +218,10 @@ class _Misfit:
         # to matter next to the largest underflows quietly to zero
         mantissa, exponent = np.frexp(weights)
         e = int(exponent.min()) if exponent.size else 0
-        self.inv_w = np.ldexp(1.0 / mantissa, e - exponent)
-        self.model, self.n, self.amps = model, np.ldexp(n_flat, -k), amps
+        inv_w = np.ldexp(1.0 / mantissa, e - exponent)
+        self.misfit = _Misfit(model, np.ldexp(n_flat, -k), inv_w)
+        self.amps = _freeze(amps)
         self.power = 2 * k - e
-        _freeze(self.inv_w, self.model, self.n, self.amps)
-
-    def __call__(self, x):
-        """(f, gradient of f) at coordinates x, both divided by 2^power."""
-        r = self.n - self.model @ x
-        wr = self.inv_w * r
-        return float(r @ wr), -2.0 * (self.model.T @ wr)
 
     def unscaled(self, value):
         """value times 2^power, exact; inf where that overflows."""
@@ -191,6 +232,25 @@ class _Misfit:
 
     def chi(self, x: np.ndarray) -> ChiMatrix:
         return ChiMatrix(pauli_basis(), self.cone.matrix(x))
+
+    def least_squares(self, post_select=False):
+        """Frame coordinates of the least-squares chi of the rates; with
+        post_select, each input's rates are first divided by its output
+        trace."""
+        plan, counts = self.plan, self.counts
+        if plan.seed_map is None:
+            raise SingularSystemError(
+                "the protocol's inputs and analyzers do not determine chi"
+            )
+        rates = counts.counts / counts.exposure
+        if post_select:
+            traces = rates @ plan.output_traces
+            zero = np.abs(traces) < 1e-12
+            if zero.any():
+                lab = counts.inputs[np.argmax(zero)]
+                raise DataError(f"output of input {lab!r} has zero trace; cannot normalize")
+            rates = rates / traces[:, None]
+        return plan.seed_map @ rates.reshape(-1)
 
     def congruence(self):
         """(T, T^-1): the frame-coordinate matrices of the congruence
@@ -207,7 +267,7 @@ class _Misfit:
         clipping as chi.
         """
         amps = self.amps
-        k = (amps.conj().T * self.inv_w) @ amps
+        k = (amps.conj().T * self.misfit.inv_w) @ amps
         eigs, vecs = np.linalg.eigh(k)
         eigs = np.maximum(eigs, _RHO_FLOOR * eigs[-1])
         roots = np.sqrt(eigs / eigs[0])
@@ -219,38 +279,10 @@ class _Misfit:
         return (coordinates_of((vecs / roots) @ vecs.conj().T),
                 coordinates_of((vecs * roots) @ vecs.conj().T))
 
-    def transformed(self, t: np.ndarray) -> _Misfit:
-        """The misfit of y with x = T y: f(T y) and gradient T^T grad f."""
-        other = copy(self)
-        other.model = _freeze(self.model @ t)
-        return other
-
-
-def _freeze(*arrays):
-    """Make the arrays read-only, as a cached set-up is shared; returns
-    the first."""
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays[0]
-
-
-class _Problem:
-    """The set-up of one count table that all its fits share, built once
-    per table and weight mode by _problem: the misfit and the
-    least-squares start, and, on the first chi-space fit, the problem
-    that both chi-space fits solve (see _solve).  fit_linear,
-    fit_post_selected and likelihood never build the latter.  Its
-    arrays are read-only.
-    """
-
-    def __init__(self, counts: CountTable, weight_mode: str):
-        self.counts = counts
-        self.misfit = _Misfit(counts, weight_mode)
-
     @cached_property
     def x0(self) -> np.ndarray:
         """Frame coordinates of the least-squares chi of the rates."""
-        return _freeze(_least_squares(self.misfit, self.counts))
+        return _freeze(self.least_squares())
 
     @cached_property
     def chi_space(self):
@@ -260,39 +292,32 @@ class _Problem:
         and the ADMM penalty rho of H.
 
         A table whose kept cells determine chi is solved for the
-        coordinates y of the whitened chi' (see _Misfit.congruence) and
-        mapped back as x = T y; since ||T||_2 <= 1, a primal residual of
-        xtol in y is at most xtol in chi.  When dropped dark cells leave
-        chi undetermined, the optimum is not unique and the whitened solve
-        can stall or diverge where the plain one converges, so such a fit
-        keeps frame coordinates.  H = 2 M^T W M is formed from the model M
-        of the problem solved, not as T^T H T, so that it stays positive
+        coordinates y of the whitened chi' (see congruence) and mapped
+        back as x = T y; since ||T||_2 <= 1, a primal residual of xtol in
+        y is at most xtol in chi.  When dropped dark cells leave chi
+        undetermined, the optimum is not unique and the whitened solve can
+        stall or diverge where the plain one converges, so such a fit keeps
+        frame coordinates.  H = 2 M^T W M is formed from the model M of the
+        problem solved, not as T^T H T, so that it stays positive
         semidefinite to the rounding of its own norm where the weights
         span many orders of magnitude.
         """
         misfit, x0 = self.misfit, self.x0
         problem, t = misfit, None
         # with every cell kept, the plan's rank check already holds
-        if len(misfit.n) == len(misfit.plan.design) or np.linalg.matrix_rank(
+        if len(misfit.n) == len(self.plan.design) or np.linalg.matrix_rank(
                 misfit.model,
-                tol=RANK_TOL * self.counts.exposure / misfit.count_unit) == x0.size:
-            t, t_inv = misfit.congruence()
-            problem, x0 = misfit.transformed(_freeze(t)), _freeze(t_inv @ x0)
+                tol=RANK_TOL * self.counts.exposure / self.count_unit) == x0.size:
+            t, t_inv = self.congruence()
+            problem = _Misfit(misfit.model @ _freeze(t), misfit.n, misfit.inv_w)
+            x0 = _freeze(t_inv @ x0)
         hessian = _freeze(2.0 * (problem.model.T * problem.inv_w) @ problem.model)
         return problem, x0, t, hessian, _penalty(hessian)
 
 
-def _problem(counts: CountTable, weight_mode: str) -> _Problem:
-    """The shared set-up of a table, cached by its content: the labels,
-    the exposure, the bytes of the counts and the weight mode."""
-    return _cached_problem(counts.inputs, counts.projectors, counts.exposure,
-                           counts.counts.tobytes(), weight_mode)
-
-
-@lru_cache(maxsize=4)
-def _cached_problem(inputs, projectors, exposure, raw, weight_mode) -> _Problem:
-    counts = np.frombuffer(raw).reshape(len(inputs), len(projectors))
-    return _Problem(CountTable(2, inputs, projectors, exposure, counts), weight_mode)
+# the shared set-up of a table, cached per table object: a CountTable
+# compares and hashes by identity, and its counts are read-only
+_problem = lru_cache(maxsize=4)(_Problem)
 
 
 def _as_chi(chi) -> ChiMatrix:
@@ -306,8 +331,8 @@ def likelihood(chi, counts: CountTable, weight_mode: str = "floor") -> float:
     (a ChiMatrix in any basis, or a 4 x 4 Hermitian array in the Pauli
     basis)."""
     mat = change_basis(_as_chi(chi), pauli_basis()).mat
-    misfit = _problem(counts, weight_mode).misfit
-    return misfit.unscaled(misfit(misfit.cone.coords(mat))[0])
+    setup = _problem(counts, weight_mode)
+    return setup.unscaled(setup.misfit(setup.cone.coords(mat))[0])
 
 
 def likelihood_gradient(
@@ -319,36 +344,17 @@ def likelihood_gradient(
     chi's own basis, the Pauli basis for an array."""
     chi = _as_chi(chi)
     mat = change_basis(chi, pauli_basis()).mat
-    misfit = _problem(counts, weight_mode).misfit
-    cone = misfit.cone
-    grad = cone.matrix(np.ldexp(misfit(cone.coords(mat))[1], misfit.power))
+    setup = _problem(counts, weight_mode)
+    cone = setup.cone
+    grad = cone.matrix(np.ldexp(setup.misfit(cone.coords(mat))[1], setup.power))
     if chi.basis is not pauli_basis():
         # G changes basis like chi
         grad = change_basis(ChiMatrix(pauli_basis(), grad), chi.basis).mat
     return grad
 
 
-def _least_squares(misfit: _Misfit, counts: CountTable, post_select=False):
-    """Frame coordinates of the least-squares chi of the rates; with
-    post_select, each input's rates are first divided by its output trace."""
-    plan = misfit.plan
-    if plan.seed_map is None:
-        raise SingularSystemError(
-            "the protocol's inputs and analyzers do not determine chi"
-        )
-    rates = counts.counts / counts.exposure
-    if post_select:
-        traces = rates @ plan.output_traces
-        zero = np.abs(traces) < 1e-12
-        if zero.any():
-            lab = counts.inputs[np.argmax(zero)]
-            raise DataError(f"output of input {lab!r} has zero trace; cannot normalize")
-        rates = rates / traces[:, None]
-    return plan.seed_map @ rates.reshape(-1)
-
-
 def _solve(counts, opts, tp: bool):
-    """(misfit, solver result) of a chi-space fit of the table's shared
+    """(set-up, solver result) of a chi-space fit of the table's shared
     set-up (_Problem.chi_space), started from the projection of the
     least-squares chi onto the cone."""
     if not counts.counts.any():
@@ -356,17 +362,16 @@ def _solve(counts, opts, tp: bool):
         raise DegenerateFitError("the count table holds no counts; nothing to fit")
     setup = _problem(counts, opts.weight_mode)
     problem, x0, t, hessian, rho = setup.chi_space
-    misfit = setup.misfit
-    equations = misfit.plan.tp_equations if tp else None
+    equations = setup.plan.tp_equations if tp else None
     if tp and t is not None:
         equations = (equations[0] @ t, equations[1])
     # a cone of its own: the projection keeps its last spectrum
-    res = minimize_adaptive(problem, x0, hessian, qmath.PsdCone(misfit.plan.lift),
+    res = minimize_adaptive(problem, x0, hessian, qmath.PsdCone(setup.plan.lift),
                             equations=equations, xtol=opts.xtol, maxfev=opts.maxfev,
                             rho=rho)
     if t is not None:
         res = replace(res, x=t @ res.x)
-    return misfit, replace(res, fun=misfit.unscaled(res.fun))
+    return setup, replace(res, fun=setup.unscaled(res.fun))
 
 
 def _report(method, chi, objective, opts, res=None, scale=1.0, residual=None):
@@ -415,8 +420,8 @@ def fit_unconstrained(counts: CountTable, opts: FitOptions = FitOptions()) -> Fi
     optimum to max eigenvalue of P equal to one; the reported objective
     is the misfit of the optimum before rescaling.
     """
-    misfit, res = _solve(counts, opts, tp=False)
-    chi, scale = normalize_max_p(misfit.chi(res.x))
+    setup, res = _solve(counts, opts, tp=False)
+    chi, scale = normalize_max_p(setup.chi(res.x))
     return _report("mle", chi, res.fun, opts, res, scale=scale)
 
 
@@ -430,23 +435,22 @@ def fit_trace_preserving(
     if the returned chi misses P = I by FitOptions.constraint_tol or
     more, which happens only when the iteration budget runs out first.
     """
-    misfit, res = _solve(counts, opts, tp=True)
-    e_mat, e_rhs = misfit.plan.tp_equations
+    setup, res = _solve(counts, opts, tp=True)
+    e_mat, e_rhs = setup.plan.tp_equations
     residual = float(np.linalg.norm(e_mat @ res.x - e_rhs))
     if residual >= opts.constraint_tol:
         raise DegenerateFitError(
             f"trace-preserving fit missed its constraint: ||P - I|| = {residual:.3e} "
             f"after {res.iterations} iterations (target {opts.constraint_tol:.1e})"
         )
-    return _report("mle-tp", misfit.chi(res.x), res.fun, opts, res, residual=residual)
+    return _report("mle-tp", setup.chi(res.x), res.fun, opts, res, residual=residual)
 
 
 def _fit_linear(counts, opts, post_select: bool) -> FitReport:
     setup = _problem(counts, opts.weight_mode)
-    misfit = setup.misfit
-    x = _least_squares(misfit, counts, post_select=True) if post_select else setup.x0
+    x = setup.least_squares(post_select=True) if post_select else setup.x0
     method = "post-selected" if post_select else "linear"
-    return _report(method, misfit.chi(x), misfit.unscaled(misfit(x)[0]), opts)
+    return _report(method, setup.chi(x), setup.unscaled(setup.misfit(x)[0]), opts)
 
 
 def fit_linear(counts: CountTable, opts: FitOptions = FitOptions()) -> FitReport:

@@ -54,7 +54,7 @@ MAX_RATE = 100.0
 MIN_EXPOSURE = 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountTable:
     """Coincidence counts indexed by (input state, analyzer projector).
 
@@ -64,7 +64,10 @@ class CountTable:
     floats: Poisson draws are integer valued, while noiseless tables
     carry the exact expected values so that the algebraic pipeline
     reproduces the underlying channel to machine precision.  The table
-    keeps a read-only copy of the counts it was given.
+    keeps a read-only copy of the counts it was given.  Tables compare and
+    hash by identity, as OperatorBasis does, so the set-up of a fit is
+    cached per table object (mle._problem); since the counts are a
+    read-only copy, a cached set-up cannot go stale.
     """
 
     dim: int

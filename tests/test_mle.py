@@ -25,6 +25,7 @@ from lossyqpt import mle, tomography
 from lossyqpt.mle import (
     FitOptions,
     _Misfit,
+    _Problem,
     fit_linear,
     fit_post_selected,
     fit_trace_preserving,
@@ -143,7 +144,7 @@ class TestLift:
     protocol plan, against the complex frame."""
 
     FRAME = hermitian_frame(4)
-    CONE = _Misfit(table_for(0.5), "floor").cone
+    CONE = _Problem(table_for(0.5), "floor").cone
 
     @settings(deadline=None, max_examples=60)
     @given(st.lists(st.floats(-10.0, 10.0), min_size=16, max_size=16),
@@ -195,6 +196,19 @@ class TestLikelihood:
         n = table.counts.reshape(-1)
         assert f_drop == pytest.approx(np.sum(n[n > 0]))
         assert f_floor >= f_drop
+
+    @pytest.mark.parametrize("weight_mode", ["Drop", "bogus", None, ""])
+    def test_unknown_weight_mode_is_refused(self, weight_mode):
+        # refused as FitOptions refuses it, not read as "floor", and
+        # without leaving a set-up in the cache
+        table = table_for(0.3)
+        mle._problem.cache_clear()
+        for func in (likelihood, likelihood_gradient):
+            with pytest.raises(ValueError, match="unknown weight_mode"):
+                func(np.eye(4) / 4, table, weight_mode=weight_mode)
+        with pytest.raises(ValueError, match="unknown weight_mode"):
+            FitOptions(weight_mode=weight_mode)
+        assert mle._problem.cache_info().currsize == 0
 
     def test_matches_design_matrix_route(self):
         # independent route: probabilities as Re(D @ vec(chi)) with the
@@ -439,20 +453,21 @@ class TestCongruence:
         counts = np.round(rng.uniform(0.0, exposure, size=36))
         counts[rng.choice(36, dark, replace=False)] = 0.0
         table = CountTable(2, STATE_LABELS, STATE_LABELS, exposure, counts.reshape(6, 6))
-        misfit = _Misfit(table, weight_mode)
-        design = misfit.model * misfit.count_unit / exposure
+        setup = _Problem(table, weight_mode)
+        misfit = setup.misfit
+        design = misfit.model * setup.count_unit / exposure
         assume(np.linalg.matrix_rank(design, tol=1e-10) == 16)
-        t, t_inv = misfit.congruence()
+        t, t_inv = setup.congruence()
         assert np.linalg.norm(t, 2) <= 1.0 + 1e-12
         # a floored dark cell at high exposure weighs up to 1e7 times a lit
         # one, and T^-1 grows with that contrast, so its rounding does too
         assert np.abs(t @ t_inv - np.eye(16)).max() <= 1e-12 * max(
             1.0, np.linalg.norm(t_inv, 2))
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        y = misfit.cone.coords(g @ g.conj().T)  # a positive semidefinite chi'
-        chi = misfit.cone.matrix(t @ y)
+        y = setup.cone.coords(g @ g.conj().T)  # a positive semidefinite chi'
+        chi = setup.cone.matrix(t @ y)
         assert np.linalg.eigvalsh(chi)[0] >= -1e-12 * np.linalg.norm(chi)
-        whitened = misfit.transformed(t)
+        whitened = _Misfit(misfit.model @ t, misfit.n, misfit.inv_w)
         fun, grad = misfit(t @ y)
         white_fun, white_grad = whitened(y)
         assert white_fun == pytest.approx(fun, rel=1e-12)
@@ -485,41 +500,54 @@ def _chi_space_fits(table, opts, order):
     return out
 
 
+def _spy_on_congruence(monkeypatch):
+    """The list of set-ups whose congruence is built from now on."""
+    calls = []
+    congruence = _Problem.congruence
+
+    def spy(setup):
+        calls.append(setup)
+        return congruence(setup)
+
+    monkeypatch.setattr(_Problem, "congruence", spy)
+    return calls
+
+
 class TestSharedSetUp:
     """The MLE and TP fits of one table share its set-up, built once."""
 
     @pytest.mark.parametrize("weight_mode, whitened", [("floor", True), ("drop", False)],
                              ids=["floor-whitened", "drop-one-row"])
-    def test_fits_do_not_depend_on_the_cache(self, weight_mode, whitened):
+    def test_fits_do_not_depend_on_the_cache(self, monkeypatch, weight_mode, whitened):
+        calls = _spy_on_congruence(monkeypatch)
         table = table_for(0.55, seed=3) if whitened else _one_row_table()
         opts = FitOptions(weight_mode=weight_mode)
         both = (fit_unconstrained, fit_trace_preserving)
         cold = {}
         for fit in both:
-            mle._cached_problem.cache_clear()
+            mle._problem.cache_clear()
             cold.update(_chi_space_fits(table, opts, [fit]))
-        mle._cached_problem.cache_clear()
+        mle._problem.cache_clear()
         forward = _chi_space_fits(table, opts, both)
-        # the set-up is cached by content, so a copy of the table reads it too
+        built = len(calls)
+        # the set-up is cached per table object, so a content-equal copy of
+        # the table builds its own, with the same answers
         copied = CountTable(2, table.inputs, table.projectors, table.exposure,
                             table.counts.copy())
-        warm = _chi_space_fits(copied, opts, both)
-        mle._cached_problem.cache_clear()
+        copy_fits = _chi_space_fits(copied, opts, both)
+        assert len(calls) == built + (1 if whitened else 0)
+        assert mle._problem(copied, weight_mode) is not mle._problem(table, weight_mode)
+        mle._problem.cache_clear()
         reverse = _chi_space_fits(table, opts, both[::-1])
-        assert cold == forward == warm == reverse
-        assert (mle._problem(table, weight_mode).chi_space[2] is not None) == whitened
+        assert cold == forward == copy_fits == reverse
+        setup = mle._problem(table, weight_mode)
+        assert setup.counts is table
+        assert (setup.chi_space[2] is not None) == whitened
 
     def test_congruence_runs_once_per_table(self, monkeypatch):
-        calls = []
-        congruence = _Misfit.congruence
-
-        def spy(misfit):
-            calls.append(misfit)
-            return congruence(misfit)
-
-        monkeypatch.setattr(_Misfit, "congruence", spy)
+        calls = _spy_on_congruence(monkeypatch)
         table = table_for(0.1, seed=8)
-        mle._cached_problem.cache_clear()
+        mle._problem.cache_clear()
         fit_linear(table)
         fit_post_selected(table)
         likelihood(np.eye(4) / 4, table)
@@ -531,14 +559,14 @@ class TestSharedSetUp:
         # another weight mode is another set-up
         fit_trace_preserving(table, opts=FitOptions(weight_mode="drop"))
         assert len(calls) == 2
-        mle._cached_problem.cache_clear()
+        mle._problem.cache_clear()
 
     def test_set_up_is_read_only(self):
         table = table_for(0.55, seed=4)
         setup = mle._problem(table, "floor")
         problem, x0, t, hessian, rho = setup.chi_space
         misfit = setup.misfit
-        for arr in (misfit.model, misfit.n, misfit.inv_w, misfit.amps, setup.x0,
+        for arr in (misfit.model, misfit.n, misfit.inv_w, setup.amps, setup.x0,
                     problem.model, x0, t, hessian):
             assert not arr.flags.writeable
         assert rho == mle._penalty(hessian)
@@ -972,10 +1000,18 @@ class TestFitOptions:
         {"restarts": 0}, {"maxfev": 0}, {"maxfev": -1}, {"xtol": 0.0},
         {"xtol": -1e-9}, {"xtol": float("nan")}, {"xtol": float("inf")},
         {"weight_mode": "bogus"},
+        # a float budget fails inside the solver, and a boolean reads as 1
+        {"maxfev": 2.5}, {"maxfev": 10.0}, {"maxfev": True}, {"restarts": 2.5},
+        {"restarts": True}, {"restarts": "4"}, {"xtol": True},
     ])
     def test_rejects_malformed(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             FitOptions(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        opts = FitOptions(restarts=np.int64(2), maxfev=np.int32(3000))
+        assert (opts.restarts, opts.maxfev) == (2, 3000)
+        assert type(opts.restarts) is int and type(opts.maxfev) is int
 
     def test_convergence_reported(self):
         table = table_for(0.4, seed=9)

@@ -14,7 +14,7 @@ from lossyqpt.channels import (
     probability_operator,
 )
 from lossyqpt.errors import DataError, RepresentationError
-from lossyqpt.mle import _Misfit
+from lossyqpt.mle import _Problem
 from lossyqpt.simulator import (
     PpbsParams,
     SimConfig,
@@ -219,11 +219,11 @@ class TestForwardModel:
                                                exposure):
         mu = expected_counts(chi, exposure, inputs, analyzers)
         table = CountTable(2, inputs, analyzers, exposure, mu)
-        misfit = _Misfit(table, "floor")
+        setup = _Problem(table, "floor")
         # the misfit holds model counts in units of count_unit, in the
         # coordinates of the Pauli-basis chi
-        coords = misfit.cone.coords(change_basis(chi, pauli_basis()).mat)
-        model = misfit.count_unit * (misfit.model @ coords)
+        coords = setup.cone.coords(change_basis(chi, pauli_basis()).mat)
+        model = setup.count_unit * (setup.misfit.model @ coords)
         assert np.abs(model - mu.ravel()).max() <= 1e-12 * exposure
 
     def test_reordered_basis_under_a_named_label(self):

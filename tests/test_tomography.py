@@ -78,6 +78,15 @@ class TestCountTable:
         with pytest.raises(ValueError):
             table.counts[0, 0] = -5.0
 
+    def test_tables_compare_and_hash_by_identity(self):
+        # as OperatorBasis does: a fit's set-up is cached per table object
+        table = CountTable(2, STATE_LABELS, STATE_LABELS, 1e4, np.full((6, 6), 10.0))
+        copy = CountTable(2, table.inputs, table.projectors, table.exposure,
+                          table.counts.copy())
+        assert table == table
+        assert not table == copy and table != copy
+        assert len({table, copy}) == 2
+
     def test_poisson_table_at_largest_exposure(self):
         # an exposure at the bound is accepted, and draws overshoot their
         # mean, the exposure itself on six cells
