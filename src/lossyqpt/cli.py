@@ -15,17 +15,20 @@ can always be traced to the exact invocation, while the data files
 themselves stay byte-identical across reruns with the same seed.  Exit
 codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 
-A call builds the parser of its own command only, next to the top-level
-one; the whole tree, with every command's parser, is built when the
-first argument names no command, for top-level help, --version and the
-error of a missing or unknown command, which list all four.
+A call whose first argument names a command is parsed by that
+command's own parser (prog "lossyqpt <command>"), declared by the same
+helper as its subparser, so no other command's parser and no top-level
+parser is built.  The whole tree, the top-level parser with every
+command's subparser, is built only when the first argument names no
+command: for top-level help, --version and the error of a missing or
+unknown command, which list all four.
 
 A --config file is a JSON object whose keys are long flag names without
 the dashes ("gamma", "t-h", "weight-mode").  Each entry is parsed as the
-token --key=value, placed right after the subcommand, so a flag on the
-command line wins and a key the subcommand has no flag for, such as
-"weight_mode", is an unrecognized argument (a unique prefix of a flag
-name works, as it does on the command line).  Values are strings or
+token --key=value, placed in front of the command's own arguments, so a
+flag on the command line wins and a key the command has no flag for,
+such as "weight_mode", is an unrecognized argument (a unique prefix of a
+flag name works, as it does on the command line).  Values are strings or
 numbers, converted and checked like the flag's own text; null leaves the
 flag unset.  Only "gammas" and "methods" take a JSON list, whose items
 are joined with commas.  Booleans, objects and other lists exit 2.  The
@@ -413,41 +416,49 @@ _COMMANDS = {
 }
 
 
-def build_parser(commands=_COMMANDS) -> argparse.ArgumentParser:
-    """The parser of the named commands, all four by default: the one
-    declaration of every option, its type, choices and default, for flags
-    and --config entries alike.
+def _declare(p, name):
+    """Declare the flags of command `name` on p, its own parser or its
+    subparser in the whole tree: the one declaration of every option, its
+    type, choices and default, for flags and --config entries alike."""
+    _, func, add_flags = _COMMANDS[name]
+    _common_flags(p)
+    add_flags(p)
+    p.set_defaults(func=func)
+    return p
 
-    main builds only the parser of the command a call names, so a call
-    does not pay for the other three; top-level help, --version and a
-    missing or unknown command get the whole tree, whose help and errors
-    list every command."""
+
+def _command_parser(name) -> argparse.ArgumentParser:
+    """The parser of one command, parsing the arguments after its name
+    as its subparser in the whole tree does."""
+    return _declare(_Parser(prog=f"lossyqpt {name}"), name)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole tree: the top-level parser with every command's
+    subparser, whose help and errors list all four."""
     parser = _Parser(
         prog="lossyqpt",
         description="Process tomography of lossy polarization channels.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in commands:
-        help_line, func, add_flags = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_line)
-        _common_flags(p)
-        add_flags(p)
-        p.set_defaults(func=func)
+    for name, (help_line, _, _) in _COMMANDS.items():
+        _declare(sub.add_parser(name, help=help_line), name)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # a first token that names no command is top-level help, --version or
-    # an error, which all need the whole tree
-    parser = build_parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS)
     try:
+        if argv and argv[0] in _COMMANDS:
+            parser, argv = _command_parser(argv[0]), argv[1:]
+        else:
+            # top-level help, --version or a missing or unknown command
+            parser = build_parser()
         args = parser.parse_args(argv)
         if args.config is not None:
-            # the file's entries go right after the command, so flags win
-            i = argv.index(args.command) + 1
-            args = parser.parse_args(argv[:i] + _config_tokens(args.config) + argv[i:])
+            # the file's entries go in front of the command's own, so flags win
+            args = parser.parse_args(_config_tokens(args.config) + argv)
         return args.func(args)
     except SystemExit as exc:  # --help and --version
         return exc.code

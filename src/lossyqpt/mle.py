@@ -103,8 +103,8 @@ class FitOptions:
     xtol bounds its primal residual (chi units) and its dual residual
     (relative to the data's gradient scale).  The convex fit has a single
     start, so restarts and seed are only recorded in the report.
-    restarts and maxfev are integers (NumPy's too, kept as int) and xtol
-    is a float; booleans are refused.
+    restarts, maxfev and seed are integers (NumPy's too, kept as int) and
+    xtol is a float; booleans are refused.
     constraint_tol, the largest ||P - I||_F a trace-preserving fit may
     return, is a fixed class constant.
     """
@@ -117,12 +117,12 @@ class FitOptions:
     constraint_tol = 1e-6
 
     def __post_init__(self):
-        for name in ("restarts", "maxfev"):
+        for name, least in (("restarts", 1), ("maxfev", 1), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
             object.__setattr__(self, name, int(value))
         if isinstance(self.xtol, bool) or not (np.isfinite(self.xtol) and self.xtol > 0.0):
             raise ValueError(f"xtol must be finite and positive, got {self.xtol}")

@@ -166,10 +166,13 @@ def probability_operator_to_dict(p: ProbabilityOperator) -> dict:
 
 
 def write_json(path, doc: dict):
+    """Write doc as indented JSON and a newline.  The text is encoded
+    before the file is opened and written in one call, so a document that
+    cannot be encoded raises and leaves no file."""
+    text = json.dumps(doc, indent=2) + "\n"
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+            fh.write(text)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from None
 

@@ -64,6 +64,8 @@ class SimConfig:
 
     The detectors are ideal: expected counts are exactly
     exposure * Tr[Pi_b E(rho_a)], with no dark counts or efficiency scale.
+    seed is a non-negative integer (NumPy's too, kept as int); booleans
+    are refused.
     """
 
     params: PpbsParams
@@ -81,6 +83,10 @@ class SimConfig:
             )
         if self.noise not in ("poisson", "none"):
             raise DataError(f"noise must be 'poisson' or 'none', got {self.noise!r}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise DataError(f"seed must be a non-negative integer, got {seed!r}")
+        object.__setattr__(self, "seed", int(seed))
         object.__setattr__(self, "inputs", tuple(self.inputs))
         object.__setattr__(self, "analyzers", tuple(self.analyzers))
 

@@ -482,6 +482,11 @@ class TestSpectralFidelity:
         chi = ChiMatrix(basis, (u * spectrum) @ u.conj().T)
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         ref = ChiMatrix(PB, np.outer(psi, psi.conj()))
+        if chi.trace() <= 0.0:
+            # three negative eigenvalues can outweigh the positive one
+            with pytest.raises(RepresentationError, match="positive traces"):
+                process_fidelity_ntp(chi, ref, clamp_tol=1.0)
+            return
         ref_mat = change_basis(ref, basis).mat
         expected = psd_sqrt_fidelity(chi.mat / chi.trace(), ref_mat / ref.trace(), 1.0)
         got = process_fidelity_ntp(chi, ref, clamp_tol=1.0)

@@ -113,21 +113,41 @@ def _main_outcome(argv, capsys, directory):
     return code, captured.out, captured.err, written
 
 
+class _WholeTree:
+    """Stands in for cli._command_parser: parses a command's arguments
+    through the whole tree, as `lossyqpt <command> ...`."""
+
+    def __init__(self, name):
+        self.name, self.tree = name, cli.build_parser()
+
+    def parse_args(self, args):
+        return self.tree.parse_args([self.name, *args])
+
+
+# argv that the per-command cases leave out: an abbreviated flag, a stray
+# positional and a float flag that does not parse
+_EXTRA_CASES = [
+    ["simulate", "--gam", "0.5", "--seed", "3", "--out", "out.json"],
+    ["reconstruct", "--counts", "counts.json", "stray", "--out", "out.json"],
+    ["simulate", "--gamma", "half", "--out", "out.json"],
+]
+
+
 class TestParserPerCommand:
-    """main builds the parser of the command it runs, or the whole tree
-    when the first argument names none; either way it behaves as the
-    whole tree does."""
+    """main parses a call with its command's own parser, or with the
+    whole tree when the first argument names no command; either way it
+    behaves as the whole tree does."""
 
     @pytest.mark.parametrize("argv", [
         pytest.param([command, *flags], id=f"{command}-{i}")
         for command, cases in _PARSER_CASES.items()
         for i, flags in enumerate(cases)
-    ] + [pytest.param(argv, id=f"top-{i}") for i, argv in enumerate(_TOP_LEVEL_CASES)])
+    ] + [pytest.param(argv, id=f"top-{i}") for i, argv in enumerate(_TOP_LEVEL_CASES)]
+      + [pytest.param(argv, id=f"extra-{i}") for i, argv in enumerate(_EXTRA_CASES)])
     def test_same_outcome_as_the_whole_tree(self, parser_case_files, capsys,
                                             monkeypatch, argv):
-        whole_tree = cli.build_parser
         with monkeypatch.context() as m:
-            m.setattr(cli, "build_parser", lambda commands: whole_tree())
+            m.setattr(cli, "_command_parser", _WholeTree)
             expected = _main_outcome(argv, capsys, parser_case_files)
         assert _main_outcome(argv, capsys, parser_case_files) == expected
 
@@ -156,9 +176,8 @@ class TestParserPerCommand:
             "'simulate', 'reconstruct', 'sweep', 'analyze-p')\n")
 
     @pytest.mark.parametrize("argv, added", [
-        (["analyze-p", "--chi", "chi.json"], ["analyze-p"]),
-        (["analyze-p", "--chi", "chi.json", "--config", "analyze-p.json"],
-         ["analyze-p"]),
+        (["analyze-p", "--chi", "chi.json"], []),
+        (["analyze-p", "--chi", "chi.json", "--config", "analyze-p.json"], []),
         (["--version"], ["simulate", "reconstruct", "sweep", "analyze-p"]),
     ])
     def test_subparsers_added_per_call(self, parser_case_files, capsys, monkeypatch,
@@ -1024,6 +1043,36 @@ class TestRoundTrip:
     def test_schema_version_checked(self):
         with pytest.raises(Exception, match="schema"):
             serialize.chi_from_dict({"schema": 2, "kind": "chi_matrix"})
+
+
+class TestWriteJson:
+    def test_bytes_are_the_indented_dump(self, tmp_path, monkeypatch):
+        # every document the CLI writes: a count table, a fit report and
+        # their manifests
+        written = []
+        write_json = serialize.write_json
+
+        def recording(path, doc):
+            written.append((path, doc))
+            write_json(path, doc)
+
+        monkeypatch.setattr(serialize, "write_json", recording)
+        counts, fit = str(tmp_path / "counts.json"), str(tmp_path / "fit.json")
+        write_reference(tmp_path / "chi.json", 0.5)
+        assert run("simulate", "--gamma", "0.5", "--seed", "3", "--out", counts) == 0
+        assert run("reconstruct", "--counts", counts, "--method", "post-selected",
+                   "--reference", str(tmp_path / "chi.json"), "--out", fit) == 0
+        kinds = [doc["kind"] for _, doc in written[1:]]
+        assert kinds == ["count_table", "run_manifest", "fit_report", "run_manifest"]
+        for path, doc in written:
+            with open(path, "rb") as fh:
+                assert fh.read() == (json.dumps(doc, indent=2) + "\n").encode()
+
+    def test_unencodable_document_leaves_no_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        with pytest.raises(TypeError):
+            serialize.write_json(path, {"x": object()})
+        assert not path.exists()
 
 
 def _count_doc_with(**fields):

@@ -1003,15 +1003,18 @@ class TestFitOptions:
         # a float budget fails inside the solver, and a boolean reads as 1
         {"maxfev": 2.5}, {"maxfev": 10.0}, {"maxfev": True}, {"restarts": 2.5},
         {"restarts": True}, {"restarts": "4"}, {"xtol": True},
+        # the seed is only recorded in the report, which must not echo these
+        {"seed": 2.5}, {"seed": True}, {"seed": -1}, {"seed": "x"},
     ])
     def test_rejects_malformed(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             FitOptions(**kwargs)
 
     def test_accepts_numpy_integers(self):
-        opts = FitOptions(restarts=np.int64(2), maxfev=np.int32(3000))
-        assert (opts.restarts, opts.maxfev) == (2, 3000)
-        assert type(opts.restarts) is int and type(opts.maxfev) is int
+        opts = FitOptions(restarts=np.int64(2), maxfev=np.int32(3000), seed=np.uint32(7))
+        assert (opts.restarts, opts.maxfev, opts.seed) == (2, 3000, 7)
+        assert all(type(v) is int for v in (opts.restarts, opts.maxfev, opts.seed))
+        assert type(fit_linear(table_for(0.5, seed=1), opts).seed) is int
 
     def test_convergence_reported(self):
         table = table_for(0.4, seed=9)

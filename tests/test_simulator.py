@@ -116,6 +116,18 @@ class TestSimConfig:
         with pytest.raises(DataError, match="exposure"):
             SimConfig(PpbsParams.from_gamma(0.5), exposure=exposure)
 
+    @pytest.mark.parametrize("seed", [2.5, True, -1, "x", None])
+    def test_rejects_malformed_seed(self, seed):
+        # True would draw the table of seed 1; the others fail in numpy
+        with pytest.raises(DataError, match="seed"):
+            SimConfig(PpbsParams.from_gamma(0.5), seed=seed)
+
+    def test_accepts_numpy_integer_seed(self):
+        cfg = SimConfig(PpbsParams.from_gamma(0.5), seed=np.int64(3))
+        assert cfg.seed == 3 and type(cfg.seed) is int
+        assert np.array_equal(simulate_counts(cfg).counts, simulate_counts(
+            SimConfig(PpbsParams.from_gamma(0.5), seed=3)).counts)
+
 
 class TestSimulateCounts:
     def test_identity_channel_aligned_analyzer(self):
