@@ -28,6 +28,11 @@ _BASIS_TOL = 1e-12
 #: Absolute tolerance separating the spectral classes of P.
 CLASSIFY_TOL = 1e-6
 
+#: How far an eigenvalue of P may lie outside [0, 1] by rounding alone:
+#: analyze-p refuses or warns about a largest eigenvalue beyond
+#: 1 + P_ROUNDING_TOL, and a written P clamps excursions within it.
+P_ROUNDING_TOL = 1e-9
+
 #: process_fidelity_ntp refuses a chi with an entry larger than this many
 #: times its trace.  No positive semidefinite chi has an entry above its
 #: trace, and below the bound chi / Tr[chi] and the fidelity of two such

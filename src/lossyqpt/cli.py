@@ -46,7 +46,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, serialize
-from .channels import probability_operator, process_fidelity_ntp
+from .channels import P_ROUNDING_TOL, probability_operator, process_fidelity_ntp
 from .errors import (
     DataError,
     DegenerateFitError,
@@ -64,6 +64,10 @@ from .mle import (
 from .simulator import PpbsParams, SimConfig, derive_seed, ppbs_chi, simulate_counts
 
 SEED_ENV_VAR = "LOSSYQPT_SEED"
+
+# the most points --gamma-range may ask for: np.linspace fails with an
+# IndexError or a MemoryError on counts far above it
+_MAX_GAMMA_POINTS = 10_000
 
 _METHODS = {
     "linear": fit_linear,
@@ -279,6 +283,8 @@ def _parse_gammas(args):
     else:
         try:
             lo, hi, count = grange.split(":")
+            if int(count) > _MAX_GAMMA_POINTS:
+                raise UsageError(f"--gamma-range takes at most {_MAX_GAMMA_POINTS} points")
             values = np.linspace(float(lo), float(hi), int(count)).tolist()
         except ValueError:
             raise UsageError(
@@ -327,7 +333,7 @@ def cmd_analyze_p(args) -> int:
     p = probability_operator(chi)
     pmax = float(p.eigenvalues[-1])
     excess = pmax - 1.0
-    if not excess <= 1e-9:  # NaN included
+    if not excess <= P_ROUNDING_TOL:  # NaN included
         message = f"max P eigenvalue exceeds 1 by {excess:.3e}"
         if args.on_unphysical == "fail" or not excess <= 1e-3:
             raise NotPsdError(message, eigenvalue=pmax)

@@ -17,13 +17,15 @@ delta_jk) turns every fit into
 a convex problem with a single optimum, which optimize.minimize_adaptive
 solves by ADMM steps, each followed by a chain of semismooth Newton
 steps, projecting onto the cone with eigenvalue clipping (orthonormal
-coordinates make that projection the Euclidean one).  The projection, a
-qmath.PsdCone, keeps its eigendecomposition for the Newton steps.  No
-restarts are needed, and the gradient matrix at the result certifies
-optimality.  Counts, model and weights are scaled by exact powers of two
-before any product is formed, so a table at exposure 1e-300 or 1e18 is
-fitted like one at 1e4, and reported misfits that leave the
-floating-point range underflow to zero or raise DegenerateFitError.
+coordinates make that projection the Euclidean one).  The projection is
+the protocol plan's cone, a qmath.PsdCone that returns its
+eigendecomposition for the Newton steps and keeps no state, so every
+solve of the protocol shares it.  No restarts are needed, and the
+gradient matrix at the result certifies optimality.  Counts, model and
+weights are scaled by exact powers of two before any product is formed,
+so a table at exposure 1e-300 or 1e18 is fitted like one at 1e4, and
+reported misfits that leave the floating-point range underflow to zero
+or raise DegenerateFitError.
 
 Four reconstruction flavors, each reporting the misfit f of its chi
 through one report builder (the chi-space fits add their solver result):
@@ -81,7 +83,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import qmath
 from .channels import ChiMatrix, change_basis, pauli_basis, probability_operator
 from .errors import DataError, DegenerateFitError, SingularSystemError
 from .optimize import _RHO_FLOOR, _penalty, minimize_adaptive
@@ -182,10 +183,9 @@ def _freeze(*arrays):
 
 class _Problem:
     """The set-up of one count table that all its fits share, built once
-    per table object and weight mode by _problem: the protocol plan, the
-    cone of chi in frame coordinates (a qmath.PsdCone, here only to
-    convert coordinates to matrices and back: each solve projects with a
-    cone of its own), the weighted misfit and the least-squares start,
+    per table object and weight mode by _problem: the protocol plan, whose
+    cone converts frame coordinates of chi to matrices and back and
+    projects every solve, the weighted misfit and the least-squares start,
     and, on the first chi-space fit, the problem that both chi-space fits
     solve (see chi_space).  fit_linear, fit_post_selected and likelihood
     never build the latter.  Its arrays are read-only.
@@ -202,7 +202,6 @@ class _Problem:
         _check_weight_mode(weight_mode)
         self.counts = counts
         self.plan = protocol_plan(counts.inputs, counts.projectors)
-        self.cone = qmath.PsdCone(self.plan.lift)
         k = math.frexp(counts.exposure)[1]
         self.count_unit = math.ldexp(1.0, k)
         model = math.ldexp(counts.exposure, -k) * self.plan.design
@@ -231,7 +230,7 @@ class _Problem:
             return math.inf
 
     def chi(self, x: np.ndarray) -> ChiMatrix:
-        return ChiMatrix(pauli_basis(), self.cone.matrix(x))
+        return ChiMatrix(pauli_basis(), self.plan.cone.matrix(x))
 
     def least_squares(self, post_select=False):
         """Frame coordinates of the least-squares chi of the rates; with
@@ -271,10 +270,10 @@ class _Problem:
         eigs, vecs = np.linalg.eigh(k)
         eigs = np.maximum(eigs, _RHO_FLOOR * eigs[-1])
         roots = np.sqrt(eigs / eigs[0])
-        frame = self.cone.frame.reshape(-1, *k.shape)  # the matrices F_k
+        frame = self.plan.cone.frame.reshape(-1, *k.shape)  # the matrices F_k
 
         def coordinates_of(op):
-            return self.cone.coords(op @ frame @ op.conj().T).T
+            return self.plan.cone.coords(op @ frame @ op.conj().T).T
 
         return (coordinates_of((vecs / roots) @ vecs.conj().T),
                 coordinates_of((vecs * roots) @ vecs.conj().T))
@@ -286,10 +285,11 @@ class _Problem:
 
     @cached_property
     def chi_space(self):
-        """(problem, start, T, H, rho) of the chi-space fits: the misfit
-        they minimize, the start of the solve, the congruence T that maps
-        its coordinates back (None for an unwhitened fit), the Hessian H
-        and the ADMM penalty rho of H.
+        """(problem, start, T, H, rho, tp_equations) of the chi-space fits:
+        the misfit they minimize, the start of the solve, the congruence T
+        that maps its coordinates back (None for an unwhitened fit), the
+        Hessian H, the ADMM penalty rho of H and the equations (E, e) of
+        P = I in the coordinates solved in, (E T, e) when whitened.
 
         A table whose kept cells determine chi is solved for the
         coordinates y of the whitened chi' (see congruence) and mapped
@@ -303,7 +303,7 @@ class _Problem:
         span many orders of magnitude.
         """
         misfit, x0 = self.misfit, self.x0
-        problem, t = misfit, None
+        problem, t, tp_equations = misfit, None, self.plan.tp_equations
         # with every cell kept, the plan's rank check already holds
         if len(misfit.n) == len(self.plan.design) or np.linalg.matrix_rank(
                 misfit.model,
@@ -311,8 +311,9 @@ class _Problem:
             t, t_inv = self.congruence()
             problem = _Misfit(misfit.model @ _freeze(t), misfit.n, misfit.inv_w)
             x0 = _freeze(t_inv @ x0)
+            tp_equations = (_freeze(tp_equations[0] @ t), tp_equations[1])
         hessian = _freeze(2.0 * (problem.model.T * problem.inv_w) @ problem.model)
-        return problem, x0, t, hessian, _penalty(hessian)
+        return problem, x0, t, hessian, _penalty(hessian), tp_equations
 
 
 # the shared set-up of a table, cached per table object: a CountTable
@@ -332,7 +333,7 @@ def likelihood(chi, counts: CountTable, weight_mode: str = "floor") -> float:
     basis)."""
     mat = change_basis(_as_chi(chi), pauli_basis()).mat
     setup = _problem(counts, weight_mode)
-    return setup.unscaled(setup.misfit(setup.cone.coords(mat))[0])
+    return setup.unscaled(setup.misfit(setup.plan.cone.coords(mat))[0])
 
 
 def likelihood_gradient(
@@ -345,7 +346,7 @@ def likelihood_gradient(
     chi = _as_chi(chi)
     mat = change_basis(chi, pauli_basis()).mat
     setup = _problem(counts, weight_mode)
-    cone = setup.cone
+    cone = setup.plan.cone
     grad = cone.matrix(np.ldexp(setup.misfit(cone.coords(mat))[1], setup.power))
     if chi.basis is not pauli_basis():
         # G changes basis like chi
@@ -361,17 +362,12 @@ def _solve(counts, opts, tp: bool):
         # grad f(0) = 0 would set the solver's dual tolerance to zero
         raise DegenerateFitError("the count table holds no counts; nothing to fit")
     setup = _problem(counts, opts.weight_mode)
-    problem, x0, t, hessian, rho = setup.chi_space
-    equations = setup.plan.tp_equations if tp else None
-    if tp and t is not None:
-        equations = (equations[0] @ t, equations[1])
-    # a cone of its own: the projection keeps its last spectrum
-    res = minimize_adaptive(problem, x0, hessian, qmath.PsdCone(setup.plan.lift),
-                            equations=equations, xtol=opts.xtol, maxfev=opts.maxfev,
-                            rho=rho)
-    if t is not None:
-        res = replace(res, x=t @ res.x)
-    return setup, replace(res, fun=setup.unscaled(res.fun))
+    problem, x0, t, hessian, rho, tp_equations = setup.chi_space
+    res = minimize_adaptive(problem, x0, hessian, setup.plan.cone,
+                            equations=tp_equations if tp else None, xtol=opts.xtol,
+                            maxfev=opts.maxfev, rho=rho)
+    x = res.x if t is None else t @ res.x
+    return setup, replace(res, x=x, fun=setup.unscaled(res.fun))
 
 
 def _report(method, chi, objective, opts, res=None, scale=1.0, residual=None):

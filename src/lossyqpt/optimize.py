@@ -65,7 +65,8 @@ G(v) - v = _RELAX (x - Pi(v)).  A Newton step solves
     (A_u - I + (A_z - A_u) D) delta = -R(v)
 
 with D the Jacobian of Pi at v, which the projection builds from the
-eigendecomposition it has already computed (qmath.PsdCone).
+eigendecomposition it returned with Pi(v) (qmath.PsdCone); the loop
+keeps that of its last projection for the next Newton matrix.
 
 The loop alternates the two.  It takes one ADMM step; unless that step
 passes the stop test, a chain of up to _NEWTON_CHAIN Newton candidates
@@ -156,8 +157,10 @@ def minimize_adaptive(
     """Minimize the convex quadratic func over the set `project` maps onto.
 
     func(x) returns (f(x), gradient of f at x); hessian is H.  project(x)
-    is the Euclidean projection onto the set, and project.derivative()
-    its Jacobian at the last x projected (see qmath.PsdCone).  equations,
+    returns the Euclidean projection of x onto the set together with the
+    eigendecomposition eig it took, and project.derivative(eig) is the
+    projection's Jacobian at that x (see qmath.PsdCone); the solve keeps
+    the eig of its last projection for the next Newton matrix.  equations,
     if given, is (E, e) for the affine constraint E x = e, E of full row
     rank.  The solve starts from x0 with zero dual and stops (converged)
     once both residuals of an ADMM step are at most xtol: the primal one
@@ -212,14 +215,14 @@ def minimize_adaptive(
     # nonexpansive: below this ||R||^2 that step converges
     newton_done2 = min(primal_tol2 / (1.0 + 1.0 / _RELAX) ** 2, dual_tol2)
 
-    w = np.concatenate([project(x0), np.zeros(n)])
+    w = np.concatenate([project(x0)[0], np.zeros(n)])
     converged, iterations = False, 0
     while iterations < maxfev:
         iterations += 1
         image = affine.dot(w)
         image += offset  # [x; v]
         x, v = image[:n], image[n:]
-        z = project(v)
+        z, eig = project(v)
         primal, moved = x - z, z - w[:n]
         converged = (primal.dot(primal) <= primal_tol2
                      and moved.dot(moved) <= dual_tol2)
@@ -233,12 +236,12 @@ def minimize_adaptive(
             if kept2 <= newton_done2:
                 break
             try:
-                delta = np.linalg.solve(base + coupling.dot(project.derivative()), r)
+                delta = np.linalg.solve(base + coupling.dot(project.derivative(eig)), r)
             except np.linalg.LinAlgError:  # an exactly singular Newton matrix
                 break
             iterations += 1
             v = v - delta
-            z = project(v)
+            z, eig = project(v)
             candidate = np.concatenate([z, v - z])
             r = v_rows.dot(candidate) + v_offset - v
             norm2 = r.dot(r)

@@ -89,13 +89,16 @@ def psd_projection(m: np.ndarray) -> np.ndarray:
 class PsdCone:
     """The positive semidefinite cone of n x n matrices in real frame
     coordinates x_k = Re Tr[F_k M], given by the frame's real lift (see
-    tomography.ProtocolPlan).  coords(M) and matrix(x) convert between
-    matrices and coordinates; calling the cone projects x onto it by the
-    eigenvalue clipping of psd_projection, and derivative() is the
-    Jacobian of that projection at the last x projected.
+    tomography.ProtocolPlan, which holds one cone per protocol).
+    coords(M) and matrix(x) convert between matrices and coordinates;
+    calling the cone projects x onto it by the eigenvalue clipping of
+    psd_projection and returns the eigendecomposition eig it took with
+    the result, and derivative(eig) is the Jacobian of the projection at
+    the x that eig came from.  The cone keeps no state between calls, so
+    one cone serves any number of solves.
 
-    The cone keeps the last eigendecomposition M = Q diag(lambda) Q^H, so
-    the Jacobian needs no second eigensolver call.  The projection's
+    The eigendecomposition M = Q diag(lambda) Q^H of the projection gives
+    the Jacobian with no second eigensolver call.  The projection's
     derivative along a Hermitian H is Q (Omega o Q^H H Q) Q^H, where
     Omega_ij is the divided difference of max(lambda, 0) at lambda_i and
     lambda_j: 1 where both are positive, 0 where neither is, and
@@ -107,7 +110,6 @@ class PsdCone:
         self.lift = lift
         self.size = math.isqrt(lift.shape[1])
         self.frame = np.ascontiguousarray(lift.T).view(complex)  # rows vec(F_k)
-        self._spectrum = None
 
     def coords(self, mats: np.ndarray) -> np.ndarray:
         """The coordinates of one n x n matrix, or a row of coordinates per
@@ -120,15 +122,17 @@ class PsdCone:
         n = self.size
         return self.lift.dot(x).view(complex).reshape(n, n)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: np.ndarray):
+        """(coordinates of the projection of x, eig): eig is the
+        eigendecomposition (lambda, Q) of the matrix of x, for
+        derivative()."""
         w, q = np.linalg.eigh(self.matrix(x))
-        self._spectrum = w, q
-        return self.coords((q * np.maximum(w, 0.0)).dot(q.conj().T))
+        return self.coords((q * np.maximum(w, 0.0)).dot(q.conj().T)), (w, q)
 
-    def derivative(self) -> np.ndarray:
-        """D_jk = Re Tr[F_j Q (Omega o Q^H F_k Q) Q^H] at the last point
-        projected: symmetric, with eigenvalues in [0, 1]."""
-        w, q = self._spectrum
+    def derivative(self, eig) -> np.ndarray:
+        """D_jk = Re Tr[F_j Q (Omega o Q^H F_k Q) Q^H] at the point whose
+        projection returned eig: symmetric, with eigenvalues in [0, 1]."""
+        w, q = eig
         n = self.size
         k = n - np.count_nonzero(w > 0.0)  # the eigenvalues <= 0 come first
         # Omega with each entry repeated for the real and imaginary parts

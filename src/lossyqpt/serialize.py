@@ -16,26 +16,18 @@ import sys
 
 import numpy as np
 
-from .channels import ChiMatrix, ProbabilityOperator, change_basis, named_basis
+from .channels import (P_ROUNDING_TOL, ChiMatrix, ProbabilityOperator, change_basis,
+                       named_basis)
 from .errors import DataError
-from .tomography import CountTable
+from .tomography import CountTable, real_number
 
 SCHEMA_VERSION = 1
-
-_SPECTRUM_CLAMP = 1e-9  # rounding-level excursions outside [0, 1]
 
 #: The largest real or imaginary part a chi file's entry may have.
 #: ChiMatrix adds m and m^H, and P sums d^4 products of entries with basis
 #: operators, so entries of ~1e307 overflow to NaN there; from entries of
 #: at most 1e150 every such sum stays far inside the floating-point range.
 MAX_CHI_ENTRY = 1e150
-
-
-def _json_numbers(values) -> bool:
-    """Whether every value is a JSON number: float() and complex() would
-    take True as 1, and float() would take "1e4"."""
-    return all(isinstance(v, (int, float)) and not isinstance(v, bool)
-               for v in values)
 
 
 def complex_matrix_to_json(mat: np.ndarray) -> list:
@@ -51,7 +43,7 @@ def complex_matrix_from_json(data, what: str = "matrix") -> np.ndarray:
     except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed {what}: {exc}") from None
     # every entry unpacked into two numbers, but complex() takes True as 1
-    if not _json_numbers(v for row in data for pair in row for v in pair):
+    if not all(map(real_number, (v for row in data for pair in row for v in pair))):
         raise DataError(f"{what} entries must be pairs of JSON numbers")
     return mat
 
@@ -128,7 +120,8 @@ def count_table_from_dict(doc: dict) -> CountTable:
             if not isinstance(doc[what], list):
                 raise DataError(f"count table {what} must be a list of labels")
         exposure, counts = doc["exposure"], doc["counts"]
-        if not _json_numbers([exposure, *(c for row in counts for c in row)]):
+        # float() would take True as 1 and "1e4" as a number
+        if not all(map(real_number, [exposure, *(c for row in counts for c in row)])):
             raise DataError("count table exposure and counts must be JSON numbers")
         return CountTable(
             dim=doc["dim"],
@@ -147,14 +140,14 @@ def probability_operator_to_dict(p: ProbabilityOperator) -> dict:
     """Serialize P; rounding-level excursions outside [0, 1] are clamped
     and anything larger is kept as-is with a warning on stderr."""
     w = p.eigenvalues.copy()
-    beyond = (w < -_SPECTRUM_CLAMP) | (w > 1.0 + _SPECTRUM_CLAMP)
+    beyond = (w < -P_ROUNDING_TOL) | (w > 1.0 + P_ROUNDING_TOL)
     if beyond.any():
         print(
             f"warning: P eigenvalues outside [0, 1]: {w[beyond]}",
             file=sys.stderr,
         )
-    w[(w >= -_SPECTRUM_CLAMP) & (w < 0.0)] = 0.0
-    w[(w > 1.0) & (w <= 1.0 + _SPECTRUM_CLAMP)] = 1.0
+    w[(w >= -P_ROUNDING_TOL) & (w < 0.0)] = 0.0
+    w[(w > 1.0) & (w <= 1.0 + P_ROUNDING_TOL)] = 1.0
     return {
         "schema": SCHEMA_VERSION,
         "kind": "probability_operator",

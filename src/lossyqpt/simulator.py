@@ -26,21 +26,21 @@ import numpy as np
 from .channels import ChiMatrix, change_basis, pauli_basis
 from .errors import DataError
 from .states import STATE_LABELS
-from .tomography import MAX_EXPOSURE, MIN_EXPOSURE, CountTable, protocol_plan
+from .tomography import MAX_EXPOSURE, MIN_EXPOSURE, CountTable, protocol_plan, real_number
 
 
 @dataclass(frozen=True)
 class PpbsParams:
-    """Transmittivities of the partial polarizing beam splitter."""
+    """Transmittivities of the partial polarizing beam splitter: ints,
+    floats or NumPy reals in [0, 1]; booleans and strings are refused."""
 
     t_h: float
     t_v: float
 
     def __post_init__(self):
-        if not (0.0 <= self.t_h <= 1.0 and 0.0 <= self.t_v <= 1.0):
-            raise DataError(
-                f"transmittivities must lie in [0, 1], got ({self.t_h}, {self.t_v})"
-            )
+        if not all(real_number(t) and 0.0 <= t <= 1.0 for t in (self.t_h, self.t_v)):
+            raise DataError(f"transmittivities must be numbers in [0, 1], "
+                            f"got ({self.t_h!r}, {self.t_v!r})")
 
     @property
     def gamma(self) -> float:
@@ -52,8 +52,8 @@ class PpbsParams:
     @classmethod
     def from_gamma(cls, gamma: float) -> "PpbsParams":
         """Sweep convention: T_H = 1, T_V = Gamma."""
-        if not 0.0 < gamma <= 1.0:
-            raise DataError(f"gamma must lie in (0, 1], got {gamma}")
+        if not (real_number(gamma) and 0.0 < gamma <= 1.0):
+            raise DataError(f"gamma must be a number in (0, 1], got {gamma!r}")
         return cls(1.0, gamma)
 
 
@@ -64,8 +64,9 @@ class SimConfig:
 
     The detectors are ideal: expected counts are exactly
     exposure * Tr[Pi_b E(rho_a)], with no dark counts or efficiency scale.
-    seed is a non-negative integer (NumPy's too, kept as int); booleans
-    are refused.
+    seed is a non-negative integer (NumPy's too, kept as int) and
+    exposure an int, a float or a NumPy real; booleans and strings are
+    refused.
     """
 
     params: PpbsParams
@@ -76,10 +77,11 @@ class SimConfig:
     analyzers: tuple = STATE_LABELS
 
     def __post_init__(self):
-        if not MIN_EXPOSURE <= self.exposure <= MAX_EXPOSURE:
+        if not (real_number(self.exposure)
+                and MIN_EXPOSURE <= self.exposure <= MAX_EXPOSURE):
             raise DataError(
-                f"exposure must lie in [{MIN_EXPOSURE:g}, {MAX_EXPOSURE:g}], "
-                f"got {self.exposure}"
+                f"exposure must be a number in [{MIN_EXPOSURE:g}, {MAX_EXPOSURE:g}], "
+                f"got {self.exposure!r}"
             )
         if self.noise not in ("poisson", "none"):
             raise DataError(f"noise must be 'poisson' or 'none', got {self.noise!r}")

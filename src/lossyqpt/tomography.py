@@ -36,6 +36,7 @@ import numpy as np
 from . import states as pol
 from .channels import ChiMatrix, OperatorBasis, p_matrix, pauli_basis
 from .errors import DataError, SingularSystemError
+from .qmath import PsdCone
 
 # the largest exposure a table or a simulation may have: numpy's Poisson
 # sampler stops at means of ~9.2e18, and the chi-space fits converge up
@@ -54,14 +55,24 @@ MAX_RATE = 100.0
 MIN_EXPOSURE = 1.0
 
 
+def real_number(value) -> bool:
+    """Whether value is an int, a float or a NumPy real: the types an
+    exposure or a transmittivity may have.  Booleans, Python's and
+    NumPy's, are not, as comparisons would read True as 1, and neither
+    are strings, which comparisons refuse with TypeError."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
+
+
 @dataclass(frozen=True, eq=False)
 class CountTable:
     """Coincidence counts indexed by (input state, analyzer projector).
 
     Labels are distinct strings and dim is the integer 2: every label
-    names a qubit polarization state.  exposure is the
-    expected number of pairs per input setting.  Counts are kept as
-    floats: Poisson draws are integer valued, while noiseless tables
+    names a qubit polarization state.  exposure, an int, a float or a
+    NumPy real (see real_number), is the expected number of pairs per
+    input setting.  Counts are kept as floats: Poisson draws are
+    integer valued, while noiseless tables
     carry the exact expected values so that the algebraic pipeline
     reproduces the underlying channel to machine precision.  The table
     keeps a read-only copy of the counts it was given.  Tables compare and
@@ -93,10 +104,9 @@ class CountTable:
         shape = (len(self.inputs), len(self.projectors))
         if c.shape != shape:
             raise DataError(f"counts must have shape {shape}, got {c.shape}")
-        if not 0 < self.exposure <= MAX_EXPOSURE:
-            raise DataError(
-                f"exposure must lie in (0, {MAX_EXPOSURE:g}], got {self.exposure}"
-            )
+        if not (real_number(self.exposure) and 0 < self.exposure <= MAX_EXPOSURE):
+            raise DataError(f"exposure must be a number in (0, {MAX_EXPOSURE:g}], "
+                            f"got {self.exposure!r}")
         if not np.all((c >= 0) & (c <= MAX_RATE * self.exposure)):
             raise DataError(f"counts must lie in [0, {MAX_RATE:g} x exposure] = "
                             f"[0, {MAX_RATE * self.exposure:g}]")
@@ -147,11 +157,14 @@ class ProtocolPlan:
     probability Tr[Pi_b E_chi(rho_a)] is c_ab chi c_ab^H: the forward
     model.  design maps frame coordinates of chi to those probabilities;
     the misfit, the whitening of the chi-space fits and the simulated
-    counts are all built from amplitudes.  lift, the frame with each
-    complex entry split into its real and imaginary parts (2 n^2 x n^2
-    for n x n chi), turns coordinates into matrices and back in real
-    arithmetic: lift @ x, viewed as complex, is vec(sum_k x_k F_k), and
-    vec(M), viewed as real, @ lift is the vector of Re Tr[F_k M].
+    counts are all built from amplitudes.  cone, a qmath.PsdCone, is the
+    positive semidefinite cone of chi in the frame coordinates of
+    hermitian_frame: it turns coordinates into matrices and back, and
+    projects every chi-space solve of the protocol, as it keeps no state.
+    Its lift is the frame with each complex entry split into its real and
+    imaginary parts (2 n^2 x n^2 for n x n chi), so that lift @ x, viewed
+    as complex, is vec(sum_k x_k F_k), and vec(M), viewed as real, @ lift
+    is the vector of Re Tr[F_k M].
     tp_equations (E, e) give ||E x - e|| = ||P(chi(x)) - I||_F.  seed_map
     is the pseudo-inverse of design, which turns rates into the
     least-squares chi; output_traces, the traces of the analyzers' dual
@@ -159,7 +172,7 @@ class ProtocolPlan:
     protocol does not determine chi.
     """
 
-    lift: np.ndarray
+    cone: PsdCone
     amplitudes: np.ndarray
     design: np.ndarray
     tp_equations: tuple[np.ndarray, np.ndarray]
@@ -185,11 +198,12 @@ def protocol_plan(inputs: tuple, analyzers: tuple) -> ProtocolPlan:
         seed_map = np.linalg.pinv(design)
         dual = analyzer_dual_frame(np.array([pol.state_density(lab) for lab in analyzers]))
         output_traces = np.trace(dual, axis1=1, axis2=2).real
-    lift = np.ascontiguousarray(frame.view(float).T)
-    plan = ProtocolPlan(lift, amplitudes, design, _tp_equations(basis, frame), seed_map,
+    cone = PsdCone(np.ascontiguousarray(frame.view(float).T))
+    plan = ProtocolPlan(cone, amplitudes, design, _tp_equations(basis, frame), seed_map,
                         output_traces)
     # cached plans are shared by every later call with this protocol
-    for arr in (lift, amplitudes, design, *plan.tp_equations, seed_map, output_traces):
+    for arr in (cone.lift, cone.frame, amplitudes, design, *plan.tp_equations, seed_map,
+                output_traces):
         if arr is not None:
             arr.flags.writeable = False
     return plan

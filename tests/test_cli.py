@@ -930,6 +930,12 @@ class TestSweepCommand:
                 assert all(math.isfinite(float(c)) for k, c in enumerate(row) if k != 1)
             assert [float(r[0]) for r in rows[::2]] == pytest.approx(list(gammas))
 
+    def test_gamma_range_at_its_bound(self):
+        # the largest count allowed gives np.linspace's values, bit for bit
+        bound = cli._MAX_GAMMA_POINTS
+        args = argparse.Namespace(gammas=None, gamma_range=f"0.1:1:{bound}")
+        assert cli._parse_gammas(args) == np.linspace(0.1, 1.0, bound).tolist()
+
 
 # analyze-p output for _ODD_CHI, byte for byte: P and the projectors are
 # printed at precision 6 with tiny entries suppressed
@@ -1134,6 +1140,12 @@ class TestErrorPaths:
                      None, 2, id="gamma-range-two-fields"),
         pytest.param(("sweep", "--gamma-range", "a:b:3", "--methods", "linear"),
                      None, 2, id="gamma-range-not-numbers"),
+        # counts above the bound are refused before np.linspace, which
+        # raises IndexError on this one without allocating
+        pytest.param(("sweep", "--gamma-range", "0.1:1:9223372036854775807", "--methods",
+                      "linear"), None, 2, id="gamma-range-count-int64-max"),
+        pytest.param(("sweep", "--gamma-range", f"0.1:1:{cli._MAX_GAMMA_POINTS + 1}",
+                      "--methods", "linear"), None, 2, id="gamma-range-count-above-bound"),
         pytest.param(("simulate", "--gamma", "0.5"), "1.5", 2, id="seed-env-not-integer"),
         pytest.param(("simulate", "--config", "array.json", "--gamma", "0.5"),
                      None, 3, id="config-array"),

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -144,7 +145,7 @@ class TestLift:
     protocol plan, against the complex frame."""
 
     FRAME = hermitian_frame(4)
-    CONE = _Problem(table_for(0.5), "floor").cone
+    CONE = _Problem(table_for(0.5), "floor").plan.cone
 
     @settings(deadline=None, max_examples=60)
     @given(st.lists(st.floats(-10.0, 10.0), min_size=16, max_size=16),
@@ -166,7 +167,10 @@ class TestLift:
         assert np.abs(cone.coords(cone.matrix(x)) - x).max() <= tol
         old = psd_projection((self.FRAME.T @ x).reshape(4, 4))
         old = (self.FRAME.conj() @ old.reshape(-1)).real
-        assert np.abs(cone(x) - old).max() <= tol
+        projected, (w, q) = cone(x)
+        assert np.abs(projected - old).max() <= tol
+        # the eigendecomposition returned is that of x's matrix
+        assert np.abs((q * w) @ q.conj().T - cone.matrix(x)).max() <= 10.0 * tol
 
 
 class TestLikelihood:
@@ -464,8 +468,8 @@ class TestCongruence:
         assert np.abs(t @ t_inv - np.eye(16)).max() <= 1e-12 * max(
             1.0, np.linalg.norm(t_inv, 2))
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        y = setup.cone.coords(g @ g.conj().T)  # a positive semidefinite chi'
-        chi = setup.cone.matrix(t @ y)
+        y = setup.plan.cone.coords(g @ g.conj().T)  # a positive semidefinite chi'
+        chi = setup.plan.cone.matrix(t @ y)
         assert np.linalg.eigvalsh(chi)[0] >= -1e-12 * np.linalg.norm(chi)
         whitened = _Misfit(misfit.model @ t, misfit.n, misfit.inv_w)
         fun, grad = misfit(t @ y)
@@ -564,12 +568,113 @@ class TestSharedSetUp:
     def test_set_up_is_read_only(self):
         table = table_for(0.55, seed=4)
         setup = mle._problem(table, "floor")
-        problem, x0, t, hessian, rho = setup.chi_space
+        problem, x0, t, hessian, rho, (e_mat, e_rhs) = setup.chi_space
         misfit = setup.misfit
         for arr in (misfit.model, misfit.n, misfit.inv_w, setup.amps, setup.x0,
-                    problem.model, x0, t, hessian):
+                    problem.model, x0, t, hessian, e_mat, e_rhs):
             assert not arr.flags.writeable
         assert rho == mle._penalty(hessian)
+        # the P = I equations come in the whitened coordinates solved in
+        plan_mat, plan_rhs = setup.plan.tp_equations
+        assert e_mat.tobytes() == (plan_mat @ t).tobytes() and e_rhs is plan_rhs
+
+
+class _TakingTurns:
+    """The plan's cone for chi-space solves running in threads named by
+    `order`, each of which may call it only in its turn: one projection
+    or one Jacobian per turn, after which the next solve still running
+    has its turn.  Between two calls of one solve, every other solve still
+    running then calls the cone once.  calls logs the solve of each call."""
+
+    def __init__(self, cone, order):
+        self.cone, self.order, self.turn = cone, list(order), 0
+        self.calls = []
+        self.cond = threading.Condition()
+
+    def _in_turn(self, call):
+        name = threading.current_thread().name
+        with self.cond:
+            assert self.cond.wait_for(lambda: self.order[self.turn] == name, timeout=60)
+            self.calls.append(name)
+            result = call()
+            self.turn = (self.turn + 1) % len(self.order)
+            self.cond.notify_all()
+        return result
+
+    def __call__(self, x):
+        return self._in_turn(lambda: self.cone(x))
+
+    def derivative(self, eig):
+        return self._in_turn(lambda: self.cone.derivative(eig))
+
+    def finish(self):
+        """Leave the turn order: the calling solve is done."""
+        with self.cond:
+            i = self.order.index(threading.current_thread().name)
+            del self.order[i]
+            if i < self.turn:
+                self.turn -= 1
+            if self.order:
+                self.turn %= len(self.order)
+            self.cond.notify_all()
+
+
+class TestSharedCone:
+    """One stateless cone per protocol plan serves every solve."""
+
+    def test_one_read_only_cone_per_protocol(self):
+        cone = protocol_plan(STATE_LABELS, STATE_LABELS).cone
+        for table in (table_for(0.55, seed=3), table_for(0.1, seed=8), table_for(1.0)):
+            for weight_mode in ("floor", "drop"):
+                assert mle._problem(table, weight_mode).plan.cone is cone
+        for arr in (cone.lift, cone.frame):
+            assert not arr.flags.writeable
+        # a projection and a Jacobian leave the cone as they found it
+        state = dict(vars(cone))
+        x = cone.coords(np.diag([1.0, 0.5, -0.25, -1.0]).astype(complex))
+        cone.derivative(cone(x)[1])
+        assert vars(cone).keys() == state.keys()
+        assert all(vars(cone)[key] is value for key, value in state.items())
+
+    def test_interleaved_solves_match_sequential(self, monkeypatch):
+        tables = {"a": table_for(0.55, seed=3), "b": table_for(0.1, seed=8)}
+        fits = {"mle": fit_unconstrained, "tp": fit_trace_preserving}
+
+        def answer(table, fit):
+            r = fits[fit](tables[table])
+            return r.chi.mat.tobytes(), r.objective, r.iterations, r.converged
+
+        sequential = {(table, fit): answer(table, fit) for table in tables for fit in fits}
+        cone = protocol_plan(STATE_LABELS, STATE_LABELS).cone
+        turns = _TakingTurns(cone, ["-".join(key) for key in sequential])
+        solve = mle.minimize_adaptive
+
+        def taking_turns(func, x0, hessian, project, **kwargs):
+            assert project is cone
+            try:
+                return solve(func, x0, hessian, turns, **kwargs)
+            finally:
+                turns.finish()
+
+        monkeypatch.setattr(mle, "minimize_adaptive", taking_turns)
+        interleaved = {}
+
+        def run(key):
+            try:
+                interleaved[key] = answer(*key)
+            except Exception as exc:  # reported by the comparison below
+                interleaved[key] = exc
+
+        threads = [threading.Thread(target=run, args=(key,), name="-".join(key))
+                   for key in sequential]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert interleaved == sequential
+        # the four solves took turns from their first projection on
+        assert turns.calls[:4] == ["a-mle", "a-tp", "b-mle", "b-tp"]
 
 
 class TestFitReportFields:

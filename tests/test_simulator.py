@@ -56,6 +56,9 @@ class TestParams:
     def test_from_gamma_convention(self):
         p = PpbsParams.from_gamma(0.3)
         assert p.t_h == 1.0 and p.t_v == 0.3
+        # NumPy reals are numbers too
+        assert PpbsParams.from_gamma(np.float64(0.3)) == p
+        assert PpbsParams(np.float32(1.0), np.int64(0)).gamma == 0.0
 
     def test_domain_checks(self):
         with pytest.raises(DataError):
@@ -66,6 +69,18 @@ class TestParams:
             PpbsParams.from_gamma(1.0001)
         with pytest.raises(DataError):
             PpbsParams(0.0, 0.0).gamma
+
+    @pytest.mark.parametrize("t_h, t_v", [
+        (True, 0.5), (1.0, np.True_), ("1", 0.5), (1.0, None)])
+    def test_transmittivities_must_be_numbers(self, t_h, t_v):
+        # a comparison reads True as 1 and refuses a string with TypeError
+        with pytest.raises(DataError, match="transmittivities"):
+            PpbsParams(t_h, t_v)
+
+    @pytest.mark.parametrize("gamma", [True, np.True_, "0.5"])
+    def test_gamma_must_be_a_number(self, gamma):
+        with pytest.raises(DataError, match="gamma"):
+            PpbsParams.from_gamma(gamma)
 
 
 class TestAnalyticChi:
@@ -111,7 +126,9 @@ class TestAnalyticP:
 
 
 class TestSimConfig:
-    @pytest.mark.parametrize("exposure", [0.0, -5.0, float("nan"), float("inf")])
+    # booleans and strings are not exposures: True would read as 1
+    @pytest.mark.parametrize("exposure", [0.0, -5.0, float("nan"), float("inf"),
+                                          True, np.True_, "1e4"])
     def test_exposure_must_be_finite_and_positive(self, exposure):
         with pytest.raises(DataError, match="exposure"):
             SimConfig(PpbsParams.from_gamma(0.5), exposure=exposure)
@@ -234,7 +251,7 @@ class TestForwardModel:
         setup = _Problem(table, "floor")
         # the misfit holds model counts in units of count_unit, in the
         # coordinates of the Pauli-basis chi
-        coords = setup.cone.coords(change_basis(chi, pauli_basis()).mat)
+        coords = setup.plan.cone.coords(change_basis(chi, pauli_basis()).mat)
         model = setup.count_unit * (setup.misfit.model @ coords)
         assert np.abs(model - mu.ravel()).max() <= 1e-12 * exposure
 

@@ -56,7 +56,9 @@ def exact_table(chi, exposure=1e4, inputs=STATE_LABELS):
 
 
 class TestCountTable:
-    @pytest.mark.parametrize("exposure", [0.0, -1.0, float("nan"), float("inf"), 1e19])
+    # booleans and strings are not exposures: True would read as 1
+    @pytest.mark.parametrize("exposure", [0.0, -1.0, float("nan"), float("inf"), 1e19,
+                                          True, np.True_, "1e4"])
     def test_exposure_must_be_finite_and_positive(self, exposure):
         with pytest.raises(DataError, match="exposure"):
             CountTable(2, STATE_LABELS, STATE_LABELS, exposure, np.ones((6, 6)))
