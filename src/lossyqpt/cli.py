@@ -18,9 +18,12 @@ codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 A call whose first argument names a command is parsed by that
 command's own parser (prog "lossyqpt <command>"), declared by the same
 helper as its subparser, so no other command's parser and no top-level
-parser is built.  The whole tree, the top-level parser with every
-command's subparser, is built only when the first argument names no
-command: for top-level help, --version and the error of a missing or
+parser is built.  Each command's parser is built on its first call and
+reused for the life of the process.  Parsing never changes it: every
+parse returns a fresh namespace, and the seed variable and the --config
+file are read at call time.  The whole tree, the top-level parser with
+every command's subparser, is built only when the first argument names
+no command: for top-level help, --version and the error of a missing or
 unknown command, which list all four.
 
 A --config file is a JSON object whose keys are long flag names without
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 from datetime import datetime, timezone
@@ -433,9 +437,10 @@ def _declare(p, name):
     return p
 
 
+@functools.cache
 def _command_parser(name) -> argparse.ArgumentParser:
     """The parser of one command, parsing the arguments after its name
-    as its subparser in the whole tree does."""
+    as its subparser in the whole tree does; built once per process."""
     return _declare(_Parser(prog=f"lossyqpt {name}"), name)
 
 

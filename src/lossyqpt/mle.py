@@ -86,6 +86,7 @@ import numpy as np
 from .channels import ChiMatrix, change_basis, pauli_basis, probability_operator
 from .errors import DataError, DegenerateFitError, SingularSystemError
 from .optimize import _RHO_FLOOR, _penalty, minimize_adaptive
+from .qmath import real_number
 from .tomography import RANK_TOL, CountTable, protocol_plan
 
 
@@ -105,7 +106,8 @@ class FitOptions:
     (relative to the data's gradient scale).  The convex fit has a single
     start, so restarts and seed are only recorded in the report.
     restarts, maxfev and seed are integers (NumPy's too, kept as int) and
-    xtol is a float; booleans are refused.
+    xtol is a real number (see qmath.real_number); booleans and strings
+    are refused.
     constraint_tol, the largest ||P - I||_F a trace-preserving fit may
     return, is a fixed class constant.
     """
@@ -125,8 +127,8 @@ class FitOptions:
             if value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
             object.__setattr__(self, name, int(value))
-        if isinstance(self.xtol, bool) or not (np.isfinite(self.xtol) and self.xtol > 0.0):
-            raise ValueError(f"xtol must be finite and positive, got {self.xtol}")
+        if not (real_number(self.xtol) and 0.0 < self.xtol < math.inf):
+            raise ValueError(f"xtol must be finite and positive, got {self.xtol!r}")
         _check_weight_mode(self.weight_mode)
 
 

@@ -22,6 +22,15 @@ DEFAULT_CLAMP_TOL = 1e-10
 _HERM_TOL = 1e-12
 
 
+def real_number(value) -> bool:
+    """Whether value is an int, a float or a NumPy real: the types an
+    exposure, a transmittivity or a tolerance may have.  Booleans,
+    Python's and NumPy's, are not, as comparisons would read True as 1,
+    and neither are strings, which comparisons refuse with TypeError."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
+
+
 @dataclass(frozen=True)
 class EigDecomposition:
     """Spectral decomposition of a Hermitian matrix.
@@ -35,13 +44,18 @@ class EigDecomposition:
 
 
 def require_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """Validate shape, finiteness and Hermiticity, returning the
+    """Validate dtype, shape, finiteness and Hermiticity, returning the
     symmetrized matrix.
 
-    The returned copy is (M + M^dag)/2, which removes rounding-level
-    asymmetry without changing anything above the validation tolerance.
+    Entries must be integers, floats or complex numbers: a boolean or
+    string array is refused, not read as numbers.  The returned copy is
+    (M + M^dag)/2, which removes rounding-level asymmetry without
+    changing anything above the validation tolerance.
     """
-    m = np.asarray(m, dtype=complex)
+    m = np.asarray(m)
+    if m.dtype.kind not in "iufc":
+        raise RepresentationError(f"{what} must hold numbers, got dtype {m.dtype}")
+    m = m.astype(complex, copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise RepresentationError(f"{what} must be square, got shape {m.shape}")
     peak = float(np.abs(m).max())  # NaN or inf if any entry is
@@ -153,7 +167,10 @@ class PsdCone:
 def _kept_eigenpairs(eig: EigDecomposition, clamp_tol: float, what: str):
     """(eigenvalues, eigenvectors) of the Hermitian matrix eig decomposes
     that psd_sqrt keeps; raises NotPsdError, naming the matrix `what`,
-    if an eigenvalue lies below -clamp_tol * max(1, lambda_max)."""
+    if an eigenvalue lies below -clamp_tol * max(1, lambda_max), and
+    ValueError unless clamp_tol is a finite non-negative real."""
+    if not (real_number(clamp_tol) and 0.0 <= clamp_tol < math.inf):
+        raise ValueError(f"clamp_tol must be finite and non-negative, got {clamp_tol!r}")
     w = eig.eigenvalues
     scale = max(1.0, float(w[-1]))
     if w[0] < -clamp_tol * scale:

@@ -64,9 +64,9 @@ class SimConfig:
 
     The detectors are ideal: expected counts are exactly
     exposure * Tr[Pi_b E(rho_a)], with no dark counts or efficiency scale.
-    seed is a non-negative integer (NumPy's too, kept as int) and
-    exposure an int, a float or a NumPy real; booleans and strings are
-    refused.
+    params is a PpbsParams, seed a non-negative integer (NumPy's too,
+    kept as int) and exposure an int, a float or a NumPy real; booleans
+    and strings are refused.
     """
 
     params: PpbsParams
@@ -77,6 +77,8 @@ class SimConfig:
     analyzers: tuple = STATE_LABELS
 
     def __post_init__(self):
+        if not isinstance(self.params, PpbsParams):
+            raise DataError(f"params must be a PpbsParams, got {self.params!r}")
         if not (real_number(self.exposure)
                 and MIN_EXPOSURE <= self.exposure <= MAX_EXPOSURE):
             raise DataError(

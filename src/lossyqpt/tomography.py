@@ -36,7 +36,7 @@ import numpy as np
 from . import states as pol
 from .channels import ChiMatrix, OperatorBasis, p_matrix, pauli_basis
 from .errors import DataError, SingularSystemError
-from .qmath import PsdCone
+from .qmath import PsdCone, real_number
 
 # the largest exposure a table or a simulation may have: numpy's Poisson
 # sampler stops at means of ~9.2e18, and the chi-space fits converge up
@@ -55,15 +55,6 @@ MAX_RATE = 100.0
 MIN_EXPOSURE = 1.0
 
 
-def real_number(value) -> bool:
-    """Whether value is an int, a float or a NumPy real: the types an
-    exposure or a transmittivity may have.  Booleans, Python's and
-    NumPy's, are not, as comparisons would read True as 1, and neither
-    are strings, which comparisons refuse with TypeError."""
-    return (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool))
-
-
 @dataclass(frozen=True, eq=False)
 class CountTable:
     """Coincidence counts indexed by (input state, analyzer projector).
@@ -71,9 +62,10 @@ class CountTable:
     Labels are distinct strings and dim is the integer 2: every label
     names a qubit polarization state.  exposure, an int, a float or a
     NumPy real (see real_number), is the expected number of pairs per
-    input setting.  Counts are kept as floats: Poisson draws are
-    integer valued, while noiseless tables
-    carry the exact expected values so that the algebraic pipeline
+    input setting.  Counts must be an integer or float array (booleans,
+    strings and complex numbers are refused) and are kept as floats:
+    Poisson draws are integer valued, while noiseless tables carry the
+    exact expected values so that the algebraic pipeline
     reproduces the underlying channel to machine precision.  The table
     keeps a read-only copy of the counts it was given.  Tables compare and
     hash by identity, as OperatorBasis does, so the set-up of a fit is
@@ -99,8 +91,11 @@ class CountTable:
             if len(set(labels)) != len(labels):
                 raise DataError(f"duplicate {what} labels in {list(labels)!r}")
             object.__setattr__(self, what, labels)
+        c = np.asarray(self.counts)
+        if c.dtype.kind not in "iuf":
+            raise DataError(f"counts must be integers or floats, got dtype {c.dtype}")
         # a read-only copy: a validated table cannot change under its caller
-        c = np.array(self.counts, dtype=float)
+        c = np.array(c, dtype=float)
         shape = (len(self.inputs), len(self.projectors))
         if c.shape != shape:
             raise DataError(f"counts must have shape {shape}, got {c.shape}")

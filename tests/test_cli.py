@@ -194,6 +194,58 @@ class TestParserPerCommand:
         assert names == added
 
 
+class TestParserCache:
+    """Each command's parser is built on its first call and reused; no
+    call leaves anything in it that a later call sees."""
+
+    def test_declared_once_per_command(self, parser_case_files, capsys, monkeypatch):
+        declared = []
+        declare = cli._declare
+
+        def counting(p, name):
+            declared.append(name)
+            return declare(p, name)
+
+        monkeypatch.setattr(cli, "_declare", counting)
+        cli._command_parser.cache_clear()
+        for command, cases in _PARSER_CASES.items():
+            for _ in range(2):
+                assert main([command, *cases[0]]) == 0
+        capsys.readouterr()
+        assert declared == list(_PARSER_CASES)
+
+    def test_outcomes_in_one_process_match_fresh_trees(self, parser_case_files, capsys,
+                                                       monkeypatch):
+        argvs = [[command, *flags] for command, cases in _PARSER_CASES.items()
+                 for flags in cases] + _EXTRA_CASES
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_command_parser", _WholeTree)
+            expected = [_main_outcome(argv, capsys, parser_case_files) for argv in argvs]
+        cli._command_parser.cache_clear()
+        for order in (range(len(argvs)), reversed(range(len(argvs)))):
+            for i in order:
+                assert _main_outcome(argvs[i], capsys, parser_case_files) == expected[i], \
+                    argvs[i]
+
+    def test_seed_flag_does_not_stick(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "99")
+        for name, seed_flag in (("a.json", ["--seed", "5"]), ("b.json", [])):
+            assert run("simulate", "--gamma", "0.5", *seed_flag,
+                       "--out", str(tmp_path / name)) == 0
+        seeds = [json.loads((tmp_path / f"{name}.manifest.json").read_text())["seed"]
+                 for name in ("a.json", "b.json")]
+        assert seeds == [5, 99]
+
+    def test_config_does_not_stick(self, parser_case_files):
+        for name, config in (("a.json", ["--config", "reconstruct.json"]),
+                             ("b.json", [])):
+            assert run("reconstruct", "--counts", "counts.json", *config,
+                       "--out", name) == 0
+        methods = [json.loads((parser_case_files / name).read_text())["method"]
+                   for name in ("a.json", "b.json")]
+        assert methods == ["post-selected", "mle"]
+
+
 class TestSimulateCommand:
     def test_noiseless_identity_table(self, tmp_path):
         out = tmp_path / "counts.json"

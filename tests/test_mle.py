@@ -1115,6 +1115,14 @@ class TestFitOptions:
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             FitOptions(**kwargs)
 
+    # NaN, +-inf, zero, negatives and True are refused above; these
+    # escaped as a bare TypeError from np.isfinite, or were read as 1
+    @pytest.mark.parametrize("xtol", [np.True_, "1e-9", None, 1e-9 + 0j])
+    def test_xtol_must_be_a_real_number(self, xtol):
+        with pytest.raises(ValueError) as info:
+            FitOptions(xtol=xtol)
+        assert str(info.value) == f"xtol must be finite and positive, got {xtol!r}"
+
     def test_accepts_numpy_integers(self):
         opts = FitOptions(restarts=np.int64(2), maxfev=np.int32(3000), seed=np.uint32(7))
         assert (opts.restarts, opts.maxfev, opts.seed) == (2, 3000, 7)

@@ -1,8 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from lossyqpt.channels import ChiMatrix, pauli_basis, process_fidelity_ntp
 from lossyqpt.errors import NotPsdError, RepresentationError
-from lossyqpt.qmath import herm_eig, psd_sqrt, state_fidelity
+from lossyqpt.qmath import (
+    EigDecomposition,
+    herm_eig,
+    psd_sqrt,
+    require_hermitian,
+    spectral_fidelity,
+    state_fidelity,
+)
 
 
 def random_hermitian(rng, n):
@@ -195,3 +205,68 @@ class TestStateFidelity:
 def test_fidelity_against_an_indefinite_argument():
     with pytest.raises(NotPsdError, match="inner product"):
         state_fidelity(np.eye(2), np.diag([1.0, -0.5]))
+
+
+# NaN and +-inf entries are refused as non-finite, and complex entries
+# are a Hermitian matrix's own; these were read as numbers, or escaped
+# as a bare ValueError or TypeError
+_NON_NUMERIC = {
+    "bool": [[True, False], [False, True]],
+    "np.bool_": np.eye(2, dtype=np.bool_),
+    "str": [["1", "0"], ["0", "1"]],
+    "non-numeric-str": [["x", "0"], ["0", "x"]],
+    "None": [[None, 0.0], [0.0, None]],
+}
+
+_HERMITIAN_ENTRY_POINTS = {
+    "require_hermitian": lambda m: require_hermitian(m, "matrix"),
+    "herm_eig": herm_eig,
+    "psd_sqrt": psd_sqrt,
+    "state_fidelity": lambda m: state_fidelity(m, np.eye(2)),
+    "ChiMatrix": lambda m: ChiMatrix(pauli_basis(),
+                                     np.asarray(m).repeat(2, 0).repeat(2, 1)),
+}
+
+
+@pytest.mark.parametrize("kind", list(_NON_NUMERIC))
+@pytest.mark.parametrize("entry", list(_HERMITIAN_ENTRY_POINTS))
+def test_matrices_must_hold_numbers(entry, kind):
+    m = _NON_NUMERIC[kind]
+    with pytest.raises(RepresentationError) as info:
+        _HERMITIAN_ENTRY_POINTS[entry](m)
+    assert str(info.value).endswith(f" must hold numbers, got dtype {np.asarray(m).dtype}")
+
+
+# full rank, so that clamp_tol=0 refuses no rounding-level eigenvalue
+_CHI = ChiMatrix(pauli_basis(), np.diag([0.5, 0.25, 0.125, 0.125]))
+_SPECTRUM = EigDecomposition(*np.linalg.eigh(np.diag([0.5, 0.25, 0.25])))
+
+# every entry point reaches the one check in qmath._kept_eigenpairs
+_CLAMP_ENTRY_POINTS = {
+    "psd_sqrt": lambda tol: psd_sqrt(np.diag([0.25, 1.0]), tol),
+    "spectral_fidelity": lambda tol: spectral_fidelity(_SPECTRUM, _SPECTRUM, tol),
+    "state_fidelity": lambda tol: state_fidelity(np.eye(2), np.diag([1.0, 0.5]), tol),
+    "process_fidelity_ntp": lambda tol: process_fidelity_ntp(_CHI, _CHI, tol),
+}
+
+
+# NaN gave a LinAlgError, negatives a NotPsdError below "--1.0e+00",
+# strings, None and complex numbers a TypeError; booleans read as 1 and
+# inf clipped nothing
+@pytest.mark.parametrize("clamp_tol", [True, np.True_, "1", None, 1.0 + 0j,
+                                       float("nan"), float("inf"), -float("inf"),
+                                       -1.0, -1e-300])
+@pytest.mark.parametrize("entry", list(_CLAMP_ENTRY_POINTS))
+def test_clamp_tol_must_be_finite_and_non_negative(entry, clamp_tol):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            _CLAMP_ENTRY_POINTS[entry](clamp_tol)
+    assert str(info.value) == (
+        f"clamp_tol must be finite and non-negative, got {clamp_tol!r}")
+
+
+@pytest.mark.parametrize("clamp_tol", [0, 0.0, np.float64(1.0), np.int64(1)])
+@pytest.mark.parametrize("entry", list(_CLAMP_ENTRY_POINTS))
+def test_clamp_tol_accepts_non_negative_reals(entry, clamp_tol):
+    _CLAMP_ENTRY_POINTS[entry](clamp_tol)

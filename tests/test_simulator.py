@@ -139,6 +139,15 @@ class TestSimConfig:
         with pytest.raises(DataError, match="seed"):
             SimConfig(PpbsParams.from_gamma(0.5), seed=seed)
 
+    # these were accepted, and simulate_counts then raised AttributeError
+    @pytest.mark.parametrize("params", [True, np.True_, "0.5", None, 0.5 + 0j,
+                                        float("nan"), float("inf"), -float("inf"),
+                                        -1.0, 0.5, (1.0, 0.5)])
+    def test_params_must_be_ppbs_params(self, params):
+        with pytest.raises(DataError) as info:
+            SimConfig(params)
+        assert str(info.value) == f"params must be a PpbsParams, got {params!r}"
+
     def test_accepts_numpy_integer_seed(self):
         cfg = SimConfig(PpbsParams.from_gamma(0.5), seed=np.int64(3))
         assert cfg.seed == 3 and type(cfg.seed) is int

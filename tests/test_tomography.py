@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,6 +71,22 @@ class TestCountTable:
         counts[2, 3] = count
         with pytest.raises(DataError, match="counts"):
             CountTable(2, STATE_LABELS, STATE_LABELS, 1e4, counts)
+
+    # NaN, +-inf and negatives are float counts, refused by the range
+    # check above; these were read as numbers, complex ones with a
+    # ComplexWarning, or escaped as a bare ValueError or TypeError
+    @pytest.mark.parametrize("fill, dtype", [
+        (True, "bool"), (np.True_, "bool"), ("1", "<U1"), ("x", "<U1"),
+        (None, "object"), (1 + 0j, "complex128"), (1 + 1j, "complex128"),
+    ], ids=["bool", "np.bool_", "str", "non-numeric-str", "None", "complex",
+            "complex-imaginary"])
+    def test_counts_must_be_integers_or_floats(self, fill, dtype):
+        counts = [[fill] * 6 for _ in range(6)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError) as info:
+                CountTable(2, STATE_LABELS, STATE_LABELS, 1e4, counts)
+        assert str(info.value) == f"counts must be integers or floats, got dtype {dtype}"
 
     def test_counts_are_a_read_only_copy(self):
         # a validated table cannot change when its caller's array does
